@@ -245,8 +245,7 @@ class Report:
     sample_count: int
 
 
-def build_report(pairs: Sequence[PredictionPair],
-                 suspect_top_k: int = 10) -> Report:
+def build_report(pairs: Sequence[PredictionPair]) -> Report:
     return Report(
         exact_match_accuracy=exact_match_accuracy(pairs),
         phoneme_accuracy=phoneme_accuracy(pairs),
@@ -254,7 +253,7 @@ def build_report(pairs: Sequence[PredictionPair],
         distance_mean=distance_stats(pairs)[0],
         distance_std=distance_stats(pairs)[1],
         length=length_accuracy(pairs),
-        suspects=suspects(pairs, top_k=suspect_top_k),
+        suspects=suspects(pairs),
         confusion=confusion_matrix(pairs),
         sample_count=len(pairs),
     )
@@ -313,7 +312,7 @@ def report_to_markdown(report: Report) -> str:
     lines.extend(_markdown_table(
         ["Word", "Target", "Prediction", "Distance"],
         [[r.word, f"/{r.target_ipa}/", f"/{r.predicted_ipa}/", str(r.distance)]
-         for r in report.suspects],
+         for r in report.suspects[:10]],
     ))
     lines.append("")
     return "\n".join(lines)

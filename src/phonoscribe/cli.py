@@ -93,11 +93,8 @@ def cmd_featurize(args) -> int:
 
     matrices = []
     for sample in samples:
-        wav_path = cache / sample.audio_filename
-        clip = dsp.decode_wav(wav_path.read_bytes())
-        clip = dsp.resample(clip, feature_config.sample_rate)
-        clip = dsp.fix_length(clip, feature_config.clip_seconds)
-        features = dsp.mfcc(clip, feature_config)
+        features = training.wav_features(cache / sample.audio_filename,
+                                         feature_config)
         dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
         matrices.append(features)
         print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
@@ -167,12 +164,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    checkpoint = training.Checkpoint.load(args.checkpoint)
+    transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
     samples = load_featurized(args.samples, args.features)
-    model = checkpoint.build_model()
     pairs = []
     for s in samples:
-        ids = training.predict_ids(model, s.features, checkpoint.config.norm)
+        ids = training.predict_ids(transcriber, s.features)
         pairs.append(analysis.PredictionPair.build(
             word=s.word,
             audio_filename=s.audio_filename,
@@ -191,11 +187,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    checkpoint = training.Checkpoint.load(args.checkpoint)
+    transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
     failed = False
     for wav in args.wavfiles:
         try:
-            _, ipa_text = training.infer(checkpoint, wav)
+            _, ipa_text = training.infer(transcriber, wav)
         except training.StageError as e:
             _err(f"{wav}\t{e}")
             failed = True

@@ -296,19 +296,6 @@ class Fetcher:
         raise last_error
 
 
-def fetch_audio(
-    url: str,
-    cache_dir: str | Path,
-    transport: Callable[[str], bytes] | None = None,
-    filename: str | None = None,
-    checksum: str | None = None,
-    max_attempts: int = 3,
-) -> Path:
-    """One-shot ``Fetcher.fetch`` with default settings."""
-    fetcher = Fetcher(transport=transport, max_attempts=max_attempts)
-    return fetcher.fetch(url, cache_dir, filename=filename, checksum=checksum)
-
-
 def write_samples_csv(path: str | Path, samples: Iterable[SampleRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

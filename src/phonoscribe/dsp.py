@@ -315,6 +315,8 @@ def save_features(path: str | Path, features: np.ndarray) -> None:
 def load_features(path: str | Path) -> np.ndarray:
     with open(path, "rb") as f:
         header = f.read(struct.calcsize("<4sHII"))
+        if len(header) < struct.calcsize("<4sHII"):
+            raise FeatureFileError("truncated feature header")
         magic, version, t, c = struct.unpack("<4sHII", header)
         if magic != FEATURE_MAGIC:
             raise FeatureFileError(f"bad magic {magic!r}")

@@ -52,38 +52,38 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     offset = 0
 
-    def take(fmt: str):
+    def advance(size: int) -> int:
+        """Move past the next ``size`` bytes, which must lie inside the file;
+        return where they start."""
         nonlocal offset
-        size = struct.calcsize(fmt)
         if offset + size > len(raw):
             raise CheckpointError("truncated checkpoint")
-        values = struct.unpack_from(fmt, raw, offset)
         offset += size
-        return values
+        return offset - size
+
+    def take(fmt: str):
+        return struct.unpack_from(fmt, raw, advance(struct.calcsize(fmt)))
+
+    def take_bytes(size: int) -> bytes:
+        start = advance(size)
+        return raw[start:start + size]
 
     magic, version, json_len = take("<4sHI")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    if offset + json_len > len(raw):
-        raise CheckpointError("truncated checkpoint")
-    meta = json.loads(raw[offset:offset + json_len].decode("utf-8"))
-    offset += json_len
+    meta = json.loads(take_bytes(json_len).decode("utf-8"))
 
     (count,) = take("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+        name = take_bytes(name_len).decode("utf-8")
         (rank,) = take("<I")
         shape = take(f"<{rank}I")
         n_values = int(np.prod(shape)) if rank else 1
-        size = 4 * n_values
-        if offset + size > len(raw):
-            raise CheckpointError("truncated checkpoint")
-        data = np.frombuffer(raw, dtype="<f4", count=n_values, offset=offset)
-        offset += size
+        data = np.frombuffer(raw, dtype="<f4", count=n_values,
+                             offset=advance(4 * n_values))
         arrays[name] = data.reshape(shape).copy()
     return meta, arrays

@@ -8,7 +8,7 @@ then a per-frame Linear producing one logit row per frame over
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,6 @@ class ModelConfig:
             raise ValueError("all sizes must be positive")
         if not 0.0 <= self.lstm_dropout < 1.0:
             raise ValueError("lstm_dropout must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class TranscriptionModel:

@@ -21,7 +21,8 @@ import numpy as np
 from . import ctc, dsp
 from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
-from .nn import AdamW, ModelConfig, TranscriptionModel, load_checkpoint, save_checkpoint
+from .nn import (AdamW, CheckpointError, ModelConfig, TranscriptionModel,
+                 load_checkpoint, save_checkpoint)
 
 
 class InsufficientSamplesError(ValueError):
@@ -125,7 +126,11 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         meta, arrays = load_checkpoint(path)
-        config = TrainConfig.from_dict(meta["train_config"])
+        try:
+            config = TrainConfig.from_dict(meta["train_config"])
+        except (KeyError, TypeError) as e:
+            raise CheckpointError(
+                f"{path}: no usable train_config in the checkpoint meta: {e}") from e
         params = {k[len("param/"):]: v for k, v in arrays.items()
                   if k.startswith("param/")}
         buffers = {k[len("buffer/"):]: v for k, v in arrays.items()
@@ -149,6 +154,10 @@ class Checkpoint:
         model.dropout_seed = self.config.seed
         return model
 
+    def transcriber(self) -> Transcriber:
+        return Transcriber(self.build_model(), self.config.norm,
+                           self.config.features)
+
 
 def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -170,20 +179,6 @@ def _split(samples: Sequence[FeaturizedSample], config: TrainConfig):
     order = _rng(config.seed, 1).permutation(len(samples))
     shuffled = [samples[i] for i in order]
     return shuffled[:-n_eval], shuffled[-n_eval:]
-
-
-def split_and_batch(
-    samples: Sequence[FeaturizedSample], config: TrainConfig
-) -> tuple[list[list[FeaturizedSample]], list[list[FeaturizedSample]]]:
-    """Shuffled fixed-size batches for training plus the eval split.
-
-    The last ``eval_batches * batch_size`` shuffled samples become the eval
-    batches; the rest batch up for training with any short remainder
-    dropped, so every batch holds exactly ``batch_size`` samples.
-    """
-    train_split, eval_split = _split(samples, config)
-    return _chunk(train_split, config.batch_size), _chunk(eval_split,
-                                                          config.batch_size)
 
 
 def _stack_standardized(batch, norm: FeatureNorm, dtype) -> np.ndarray:
@@ -328,59 +323,53 @@ def train_run(
     return checkpoint, metrics
 
 
-def predict_ids(model: TranscriptionModel, features: np.ndarray,
-                norm: FeatureNorm) -> list[int]:
-    """Eval-mode decode of one unstandardized (T, C) feature matrix."""
-    x = dsp.standardize(features, norm).astype(model.dtype)
-    logits = model.forward_single(x)
-    return ctc.greedy_decode(ctc.log_softmax(logits.astype(np.float64)))
+def _run_stages(value, stages):
+    """Pass ``value`` through each (name, call) stage in turn; a failing
+    call is re-raised as a StageError naming its stage."""
+    for name, call in stages:
+        try:
+            value = call(value)
+        except Exception as e:
+            raise StageError(name, e) from e
+    return value
 
 
-def evaluate_exact(checkpoint: Checkpoint,
-                   samples: Sequence[FeaturizedSample]) -> float:
-    """Fraction of samples whose decoded sequence equals the target exactly."""
-    model = checkpoint.build_model()
-    norm = checkpoint.config.norm
-    hits = sum(predict_ids(model, s.features, norm) == s.label for s in samples)
-    return hits / len(samples) if samples else 0.0
+def wav_features(wav_path: str | Path, config: FeatureConfig) -> np.ndarray:
+    """WAV file -> unstandardized (T, C) MFCC matrix: decode, resample to
+    the configured rate, force the clip length, compute the MFCCs."""
+    return _run_stages(wav_path, [
+        ("decode_wav", lambda path: dsp.decode_wav(Path(path).read_bytes())),
+        ("resample", lambda clip: dsp.resample(clip, config.sample_rate)),
+        ("fix_length", lambda clip: dsp.fix_length(clip, config.clip_seconds)),
+        ("mfcc", lambda clip: dsp.mfcc(clip, config)),
+    ])
 
 
-def infer(checkpoint: Checkpoint, wav_path: str | Path) -> tuple[PhonemeSeq, str]:
-    """WAV file -> (phoneme sequence, rendered IPA).
+@dataclass
+class Transcriber:
+    """An eval-mode model with the norm and feature settings it was trained on."""
 
-    Runs decode, resample, fix_length, mfcc, standardize, the eval-mode
-    network and the greedy decoder; any failure is re-raised as a
-    StageError naming the stage.
-    """
-    feature_config = checkpoint.config.features
-    try:
-        clip = dsp.decode_wav(Path(wav_path).read_bytes())
-    except Exception as e:
-        raise StageError("decode_wav", e) from e
-    try:
-        clip = dsp.resample(clip, feature_config.sample_rate)
-    except Exception as e:
-        raise StageError("resample", e) from e
-    try:
-        clip = dsp.fix_length(clip, feature_config.clip_seconds)
-    except Exception as e:
-        raise StageError("fix_length", e) from e
-    try:
-        features = dsp.mfcc(clip, feature_config)
-    except Exception as e:
-        raise StageError("mfcc", e) from e
-    try:
-        x = dsp.standardize(features, checkpoint.config.norm)
-    except Exception as e:
-        raise StageError("standardize", e) from e
-    try:
-        model = checkpoint.build_model()
-        logits = model.forward_single(x.astype(model.dtype))
-    except Exception as e:
-        raise StageError("model_forward", e) from e
-    try:
-        ids = ctc.greedy_decode(ctc.log_softmax(logits.astype(np.float64)))
-    except Exception as e:
-        raise StageError("greedy_decode", e) from e
-    seq = [INVENTORY[i] for i in ids]
+    model: TranscriptionModel
+    norm: FeatureNorm
+    features: FeatureConfig
+
+
+def predict_ids(transcriber: Transcriber, features: np.ndarray) -> list[int]:
+    """Eval-mode decode of one unstandardized (T, C) feature matrix:
+    standardize, the network, then greedy CTC decoding."""
+    model = transcriber.model
+    return _run_stages(features, [
+        ("standardize",
+         lambda f: dsp.standardize(f, transcriber.norm).astype(model.dtype)),
+        ("model_forward", model.forward_single),
+        ("greedy_decode", lambda logits: ctc.greedy_decode(
+            ctc.log_softmax(logits.astype(np.float64)))),
+    ])
+
+
+def infer(transcriber: Transcriber, wav_path: str | Path) -> tuple[PhonemeSeq, str]:
+    """WAV file -> (phoneme sequence, rendered IPA); any failure is a
+    StageError naming the stage."""
+    features = wav_features(wav_path, transcriber.features)
+    seq = [INVENTORY[i] for i in predict_ids(transcriber, features)]
     return seq, render_ipa(seq)

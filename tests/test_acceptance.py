@@ -257,7 +257,7 @@ def test_infer_recovers_word_from_overfit_checkpoint(overfit_run, tmp_path):
     indices = [alphabet_ids.index(l) for l in target.label]
     wav = tmp_path / "clip.wav"
     wav.write_bytes(dsp.encode_wav(tone_clip(indices)))
-    seq, text = infer(overfit_run["checkpoint"], wav)
+    seq, text = infer(overfit_run["checkpoint"].transcriber(), wav)
     assert [p.id for p in seq] == target.label
     assert text == render_ipa([INVENTORY[i] for i in target.label])
 

@@ -237,6 +237,20 @@ class TestReportBundle:
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "confusion.csv").exists()
 
+    def test_report_keeps_every_suspect_and_markdown_shows_ten(self, tmp_path):
+        pairs = [pair("ab", "ku", word=f"w{i:02d}") for i in range(25)]
+        report = build_report(pairs + [pair("wi", "wi", word="exact")])
+        assert len(report.suspects) == 26
+        assert [r.word for r in report.suspects[:25]] == [
+            f"w{i:02d}" for i in range(25)]
+        assert report.suspects[-1].distance == 0
+        write_report_bundle(tmp_path, report)
+        data = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert len(data["suspects"]) == 26
+        markdown = (tmp_path / "report.md").read_text("utf-8")
+        table = markdown.split("## Highest-distance samples")[1]
+        assert table.count("| w") == 10
+
     def test_report_json_contents(self, tmp_path):
         report = build_report([pair("wi", "wi"), pair("o", "ɔ")])
         write_report_bundle(tmp_path, report)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from phonoscribe import cli, corpus, dsp
 from phonoscribe.cli import main
 from phonoscribe.training import Checkpoint, TrainConfig
-from phonoscribe.nn import ModelConfig, TranscriptionModel
+from phonoscribe.nn import ModelConfig, TranscriptionModel, save_checkpoint
 
 BONJOUR_AUDIO = "LL-Q150 (fra)-LoquaxFR-bonjour.wav"
 
@@ -177,6 +178,16 @@ class TestFeaturizeCommand:
         assert dsp.load_features(out / "a.wav.phfm").shape == (198, 40)
 
 
+    def test_unreadable_wav_exits_one(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "a.wav").write_bytes(b"not a wav at all")
+        samples = sample_csv(tmp_path, ["a.wav"])
+        assert run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", tmp_path / "features"]) == 1
+        assert "decode_wav" in capsys.readouterr().err
+
+
 def featurized_fixture(tmp_path, words=("wi", "ku", "sa", "ato")):
     """Samples CSV + feature dir with random features for tiny models."""
     rows = []
@@ -291,6 +302,32 @@ class TestEvalCommand:
         assert np.abs(sums[occupied] - 1.0).max() < 1e-9
 
 
+    def test_short_feature_header_exits_one(self, tmp_path, capsys):
+        samples, features = featurized_fixture(tmp_path)
+        (features / "w0.wav.phfm").write_bytes(b"PHFM\x01")
+        code = run(["eval", "--checkpoint", zero_checkpoint(tmp_path),
+                    "--samples", samples, "--features", features,
+                    "--report-dir", tmp_path / "report"])
+        assert code == 1
+        assert "truncated feature header" in capsys.readouterr().err
+
+    def test_suspects_keep_the_full_ranking(self, tmp_path, capsys):
+        # zero weights decode every clip to "i": 25 suspects at distance 2
+        samples, features = featurized_fixture(tmp_path, words=("ku",) * 25)
+        report_dir = tmp_path / "report"
+        assert run(["eval", "--checkpoint", zero_checkpoint(tmp_path),
+                    "--samples", samples, "--features", features,
+                    "--report-dir", report_dir]) == 0
+        capsys.readouterr()
+        assert run(["suspects", "--report-dir", report_dir, "--top", 20]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 20
+        assert all(line.endswith("\tku\ti\t2") for line in lines)
+        assert run(["suspects", "--report-dir", report_dir,
+                    "--min-distance", 2]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 25
+
+
 class TestInferCommand:
     def test_files_processed_in_order(self, tmp_path, capsys):
         checkpoint = zero_checkpoint(tmp_path, mfcc_coefficients=40)
@@ -314,6 +351,60 @@ class TestInferCommand:
         captured = capsys.readouterr()
         assert "decode_wav" in captured.err
         assert str(good) in captured.out  # later files still processed
+
+
+    def test_model_built_once_for_many_files(self, tmp_path, capsys,
+                                             monkeypatch):
+        checkpoint = zero_checkpoint(tmp_path, mfcc_coefficients=40)
+        wavs = [tmp_path / f"{name}.wav" for name in "abc"]
+        for wav in wavs:
+            make_wav(wav)
+        builds = []
+        original = TranscriptionModel.__init__
+
+        def counting(model, *args, **kwargs):
+            builds.append(model)
+            original(model, *args, **kwargs)
+
+        monkeypatch.setattr(TranscriptionModel, "__init__", counting)
+        assert run(["infer", "--checkpoint", checkpoint, *wavs]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert len(builds) == 1
+
+    def test_feature_width_mismatch_names_model_forward(self, tmp_path,
+                                                         capsys):
+        # an 8-coefficient model against 40-coefficient features
+        checkpoint = zero_checkpoint(tmp_path, mfcc_coefficients=8)
+        wavs = [tmp_path / f"{name}.wav" for name in "abc"]
+        for wav in wavs:
+            make_wav(wav)
+        assert run(["infer", "--checkpoint", checkpoint, *wavs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert [line.split("\t")[0] for line in errors] == [str(w) for w in wavs]
+        assert all("stage 'model_forward'" in line for line in errors)
+
+    def test_checkpoint_without_train_config_exits_one(self, tmp_path, capsys):
+        checkpoint = tmp_path / "model.phck"
+        save_checkpoint(checkpoint, {"blank_id": 37}, {})
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
+        assert "train_config" in capsys.readouterr().err
+
+    def test_array_name_past_the_end_exits_one(self, tmp_path, capsys):
+        # the name field claims 8 bytes; the file ends after the first
+        # byte of a two-byte UTF-8 character
+        blob = b"{}"
+        checkpoint = tmp_path / "model.phck"
+        checkpoint.write_bytes(
+            struct.pack("<4sHI", b"PHCK", 1, len(blob)) + blob
+            + struct.pack("<IH", 1, 8) + "é".encode("utf-8")[:1])
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
+        assert "truncated checkpoint" in capsys.readouterr().err
 
 
 class TestSuspectsCommand:

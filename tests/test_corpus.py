@@ -12,7 +12,6 @@ from phonoscribe.corpus import (
     PageRecord,
     PatternMismatchError,
     extract_speaker,
-    fetch_audio,
     filter_samples,
     parse_manifest,
     read_samples_csv,
@@ -241,8 +240,8 @@ class TestFetchAudio:
         target = tmp_path / "x.wav"
         target.write_bytes(b"cached")
         transport = StubTransport([])
-        result = fetch_audio("https://example.test/x.wav", tmp_path,
-                             transport=transport)
+        result = Fetcher(transport=transport).fetch(
+            "https://example.test/x.wav", tmp_path)
         assert result == target
         assert transport.calls == 0
         assert target.read_bytes() == b"cached"
@@ -250,8 +249,8 @@ class TestFetchAudio:
     def test_http_404(self, tmp_path):
         transport = StubTransport([HttpError(404)] * 3)
         with pytest.raises(HttpError) as err:
-            fetch_audio("https://example.test/x.wav", tmp_path,
-                        transport=transport)
+            Fetcher(transport=transport).fetch("https://example.test/x.wav",
+                                               tmp_path)
         assert err.value.status == 404
 
     def test_two_failures_then_success(self, tmp_path):
@@ -267,37 +266,37 @@ class TestFetchAudio:
 
     def test_filename_from_url_is_unquoted(self, tmp_path):
         transport = StubTransport([b"data"])
-        path = fetch_audio("https://example.test/a/a5/x_%28fra%29.wav",
-                           tmp_path, transport=transport)
+        path = Fetcher(transport=transport).fetch(
+            "https://example.test/a/a5/x_%28fra%29.wav", tmp_path)
         assert path.name == "x_(fra).wav"
 
     def test_explicit_filename_verbatim(self, tmp_path):
         transport = StubTransport([b"data"])
-        path = fetch_audio("https://example.test/x_y.wav", tmp_path,
-                           transport=transport, filename="x y.wav")
+        path = Fetcher(transport=transport).fetch(
+            "https://example.test/x_y.wav", tmp_path, filename="x y.wav")
         assert path.name == "x y.wav"
 
     def test_checksum_match(self, tmp_path):
         payload = b"audio-bytes"
         digest = hashlib.sha256(payload).hexdigest()
         transport = StubTransport([payload])
-        path = fetch_audio("https://example.test/x.wav", tmp_path,
-                           transport=transport, checksum=digest)
+        path = Fetcher(transport=transport).fetch(
+            "https://example.test/x.wav", tmp_path, checksum=digest)
         assert path.read_bytes() == payload
 
     def test_checksum_mismatch(self, tmp_path):
         transport = StubTransport([b"corrupted"])
         with pytest.raises(ChecksumMismatchError):
-            fetch_audio("https://example.test/x.wav", tmp_path,
-                        transport=transport, checksum="00" * 32)
+            Fetcher(transport=transport).fetch(
+                "https://example.test/x.wav", tmp_path, checksum="00" * 32)
         assert not (tmp_path / "x.wav").exists()
 
     def test_idempotent_second_call_cached(self, tmp_path):
         transport = StubTransport([b"payload"])
-        first = fetch_audio("https://example.test/x.wav", tmp_path,
-                            transport=transport)
-        second = fetch_audio("https://example.test/x.wav", tmp_path,
-                             transport=StubTransport([]))
+        first = Fetcher(transport=transport).fetch(
+            "https://example.test/x.wav", tmp_path)
+        second = Fetcher(transport=StubTransport([])).fetch(
+            "https://example.test/x.wav", tmp_path)
         assert first == second
 
     def test_rate_limit_sleeps_between_requests(self, tmp_path):

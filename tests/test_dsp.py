@@ -255,6 +255,12 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError):
             load_features(path)
 
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "x.phfm"
+        path.write_bytes(b"PHFM\x01")
+        with pytest.raises(FeatureFileError):
+            load_features(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "x.phfm"
         save_features(path, np.zeros((4, 4), dtype=np.float32))

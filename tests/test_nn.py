@@ -451,6 +451,15 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_array_name_past_the_end_rejected(self, tmp_path):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {}, {"é": np.ones(2, np.float32)})
+        raw = path.read_bytes()
+        name_at = raw.index("é".encode("utf-8"))
+        path.write_bytes(raw[:name_at + 1])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_deterministic_bytes(self, tmp_path):
         arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
         meta = {"b": 2, "a": 1}

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from phonoscribe import dsp
+from phonoscribe import ctc, dsp
 from phonoscribe.dsp import FeatureNorm
-from phonoscribe.nn import ModelConfig, TranscriptionModel
+from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
+                            save_checkpoint)
 from phonoscribe.training import (
     Checkpoint,
     FeaturizedSample,
@@ -13,10 +14,11 @@ from phonoscribe.training import (
     NumericError,
     StageError,
     TrainConfig,
+    _chunk,
     _rng,
-    evaluate_exact,
+    _split,
     infer,
-    split_and_batch,
+    predict_ids,
     train_run,
 )
 
@@ -46,6 +48,13 @@ def tiny_config(**overrides):
                     model=TINY_MODEL, norm=IDENTITY_NORM)
     settings.update(overrides)
     return TrainConfig(**settings)
+
+
+def split_and_batch(samples, config):
+    """The train and eval splits cut into batches, as ``train_run`` does."""
+    train_split, eval_split = _split(samples, config)
+    return (_chunk(train_split, config.batch_size),
+            _chunk(eval_split, config.batch_size))
 
 
 class TestSplitAndBatch:
@@ -88,8 +97,7 @@ class TestSplitAndBatch:
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            split_and_batch(toy_samples(7), tiny_config(batch_size=4,
-                                                        eval_batches=1))
+            _split(toy_samples(7), tiny_config(batch_size=4, eval_batches=1))
 
 
 class TestTrainRun:
@@ -203,6 +211,14 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(model_a.forward_single(x),
                               model_b.forward_single(x))
 
+    @pytest.mark.parametrize("meta", [
+        {"blank_id": 37}, {"train_config": {"bogus": 1}}, ["train_config"]])
+    def test_meta_without_usable_train_config_rejected(self, tmp_path, meta):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, meta, {})
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(path)
+
     def test_optimizer_state_preserved(self, tmp_path):
         samples = toy_samples(12)
         checkpoint, _ = train_run(samples, tiny_config(epochs=1))
@@ -224,6 +240,13 @@ def zero_model_checkpoint(config=None):
         params={k: v.copy() for k, v in model.parameters().items()},
         buffers={k: v.copy() for k, v in model.buffers().items()},
     )
+
+
+def evaluate_exact(checkpoint, samples):
+    """Fraction of samples whose ``predict_ids`` decode equals the label."""
+    transcriber = checkpoint.transcriber()
+    hits = sum(predict_ids(transcriber, s.features) == s.label for s in samples)
+    return hits / len(samples)
 
 
 class TestEvaluateExact:
@@ -264,14 +287,14 @@ class TestInfer:
         bad.write_bytes(b"not a wav at all")
         checkpoint = zero_model_checkpoint(self.infer_config())
         with pytest.raises(StageError) as err:
-            infer(checkpoint, bad)
+            infer(checkpoint.transcriber(), bad)
         assert err.value.stage == "decode_wav"
         assert isinstance(err.value.__cause__, dsp.CorruptHeaderError)
 
     def test_missing_file_tagged_decode_stage(self, tmp_path):
         checkpoint = zero_model_checkpoint(self.infer_config())
         with pytest.raises(StageError) as err:
-            infer(checkpoint, tmp_path / "absent.wav")
+            infer(checkpoint.transcriber(), tmp_path / "absent.wav")
         assert err.value.stage == "decode_wav"
 
     def test_short_clip_padded_and_processed(self, tmp_path):
@@ -280,7 +303,7 @@ class TestInfer:
         wav = tmp_path / "short.wav"
         wav.write_bytes(dsp.encode_wav(clip))
         checkpoint = zero_model_checkpoint(self.infer_config())
-        seq, text = infer(checkpoint, wav)
+        seq, text = infer(checkpoint.transcriber(), wav)
         assert [p.symbol for p in seq] == ["i"]  # zero weights argmax class 0
         assert text == "i"
 
@@ -289,5 +312,28 @@ class TestInfer:
         wav = tmp_path / "x.wav"
         wav.write_bytes(dsp.encode_wav(clip))
         checkpoint = zero_model_checkpoint(self.infer_config())
-        seq, _ = infer(checkpoint, wav)
+        seq, _ = infer(checkpoint.transcriber(), wav)
         assert [p.symbol for p in seq] == ["i"]
+
+    def test_feature_width_mismatch_tagged_model_forward_stage(self, tmp_path):
+        # an 8-coefficient model fed the 40 coefficients of the features
+        wav = tmp_path / "x.wav"
+        wav.write_bytes(dsp.encode_wav(dsp.AudioClip(16000, np.zeros(16000))))
+        checkpoint = zero_model_checkpoint(tiny_config())
+        with pytest.raises(StageError) as err:
+            infer(checkpoint.transcriber(), wav)
+        assert err.value.stage == "model_forward"
+
+    def test_stages_name_every_step(self, tmp_path, monkeypatch):
+        wav = tmp_path / "x.wav"
+        wav.write_bytes(dsp.encode_wav(dsp.AudioClip(16000, np.zeros(16000))))
+        transcriber = zero_model_checkpoint(self.infer_config()).transcriber()
+        for stage, owner in [("resample", dsp), ("fix_length", dsp),
+                             ("mfcc", dsp), ("standardize", dsp),
+                             ("greedy_decode", ctc)]:
+            with monkeypatch.context() as m:
+                m.setattr(owner, stage, lambda *a, **k: 1 / 0)
+                with pytest.raises(StageError) as err:
+                    infer(transcriber, wav)
+            assert err.value.stage == stage
+            assert isinstance(err.value.__cause__, ZeroDivisionError)
