@@ -85,7 +85,8 @@ def cmd_fetch(args) -> int:
 
 def cmd_featurize(args) -> int:
     file_config = _load_config_file(args.config)
-    feature_config = dsp.FeatureConfig(**file_config.get("features", {}))
+    feature_config = training.parse_settings(
+        dsp.FeatureConfig, file_config.get("features", {}), "features")
     samples = corpus.read_samples_csv(args.samples)
     cache = Path(args.cache)
     out_dir = Path(args.out)
@@ -103,7 +104,8 @@ def cmd_featurize(args) -> int:
         norm = dsp.compute_norm(matrices)
     else:
         norm_settings = file_config.get("norm")
-        norm = dsp.FeatureNorm(**norm_settings) if norm_settings else dsp.DEFAULT_NORM
+        norm = (training.parse_settings(dsp.FeatureNorm, norm_settings, "norm")
+                if norm_settings else dsp.DEFAULT_NORM)
     with open(out_dir / "norm.json", "w", encoding="utf-8") as f:
         json.dump({"mean": norm.mean, "std": norm.std}, f, sort_keys=True)
     _err(f"featurized {len(matrices)} file(s); norm mean={norm.mean} std={norm.std}")
@@ -129,12 +131,9 @@ def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample
 def _build_train_config(args) -> training.TrainConfig:
     file_config = _load_config_file(args.config)
     settings = dict(file_config.get("train", {}))
-    if "model" in file_config:
-        settings["model"] = file_config["model"]
-    if "norm" in file_config:
-        settings["norm"] = file_config["norm"]
-    if "features" in file_config:
-        settings["features"] = file_config["features"]
+    for block in ("model", "norm", "features"):
+        if block in file_config:
+            settings[block] = file_config[block]
 
     norm_path = Path(args.features) / "norm.json"
     if "norm" not in settings and norm_path.exists():
@@ -296,7 +295,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as e:
         _err(f"error: {e}")
-        return EXIT_FAILURE
+        return EXIT_USAGE if isinstance(e, training.ConfigError) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

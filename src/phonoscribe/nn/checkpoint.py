@@ -7,7 +7,8 @@ Layout, all integers little-endian:
         u16 name_len | name UTF-8 | u32 rank | u32 dim * rank | f32-LE payload
 
 The JSON block is serialized with sorted keys and compact separators, so a
-given (meta, arrays) pair always produces identical bytes.
+given (meta, arrays) pair always produces identical bytes. Loaded arrays are
+read-only views of the file's bytes; whoever needs to write copies them.
 """
 
 from __future__ import annotations
@@ -85,5 +86,5 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         n_values = int(np.prod(shape)) if rank else 1
         data = np.frombuffer(raw, dtype="<f4", count=n_values,
                              offset=advance(4 * n_values))
-        arrays[name] = data.reshape(shape).copy()
+        arrays[name] = data.reshape(shape)
     return meta, arrays

@@ -27,15 +27,6 @@ def uniform_init(rng, shape, fan_in: int, dtype) -> np.ndarray:
     return rng.uniform(-k, k, size=shape).astype(dtype)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class Conv1d:
     """Temporal convolution, stride 1, zero 'same' padding, odd kernel."""
 
@@ -71,8 +62,9 @@ class Conv1d:
         w = self.params["w"]
         dw = np.empty_like(w)
         dx_pad = np.zeros_like(x_pad)
+        flat_dy = dy.reshape(-1, self.out_channels)
         for k in range(self.kernel_size):
-            dw[k] = np.einsum("bti,bto->io", x_pad[:, k:k + t, :], dy)
+            dw[k] = x_pad[:, k:k + t, :].reshape(-1, self.in_channels).T @ flat_dy
             dx_pad[:, k:k + t, :] += dy @ w[k].T
         self.grads = {"w": dw, "b": dy.sum(axis=(0, 1))}
         pad = self.kernel_size // 2
@@ -215,7 +207,7 @@ class Linear:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
         self.grads = {
-            "w": np.einsum("bti,bto->io", x, dy),
+            "w": x.reshape(-1, self.in_features).T @ dy.reshape(-1, self.out_features),
             "b": dy.sum(axis=(0, 1)),
         }
         return dy @ self.params["w"].T

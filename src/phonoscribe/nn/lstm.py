@@ -9,14 +9,18 @@ ag, ao):
     h_t = o * tanh(c_t)
 
 h_0 = c_0 = 0. The input projection for all timesteps is computed as one
-matrix product; the recurrent loop only adds h_{t-1} @ wh.
+matrix product; the recurrent loop only adds h_{t-1} @ wh, then takes one
+tanh over all four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). The
+work runs time-major, (T, B, ...) in processing order, and backward hoists
+out of the loop every factor the forward pass fixes (Appleyard et al.,
+arXiv:1604.01946).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import ShapeMismatchError, sigmoid, uniform_init
+from .layers import ShapeMismatchError, uniform_init
 
 
 class LSTM:
@@ -31,6 +35,7 @@ class LSTM:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.reverse = reverse
+        self._time_step = -1 if reverse else 1
         wx = uniform_init(rng, (input_size, 4 * hidden_size), input_size, dtype)
         wh = uniform_init(rng, (hidden_size, 4 * hidden_size), hidden_size, dtype)
         b = np.zeros(4 * hidden_size, dtype=dtype)
@@ -43,92 +48,89 @@ class LSTM:
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.input_size}), got {x.shape}")
-        if self.reverse:
-            return self._run(x[:, ::-1])[:, ::-1]
-        return self._run(x)
+        hidden = self._run(x.transpose(1, 0, 2)[::self._time_step])
+        return hidden[::self._time_step].transpose(1, 0, 2)
 
     def backward(self, dh: np.ndarray) -> np.ndarray:
-        if self.reverse:
-            return self._run_backward(np.ascontiguousarray(dh[:, ::-1]))[:, ::-1]
-        return self._run_backward(dh)
+        dx = self._run_backward(dh.transpose(1, 0, 2)[::self._time_step])
+        return dx[::self._time_step].transpose(1, 0, 2)
 
     def _run(self, x: np.ndarray) -> np.ndarray:
-        b_sz, t_len, _ = x.shape
+        t_len, b_sz, _ = x.shape
         hs = self.hidden_size
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
+        # Halves the sigmoid columns (i, f, o) and keeps the tanh column (g).
+        half = np.full(4 * hs, 0.5, dtype=x.dtype)
+        half[2 * hs:3 * hs] = 1.0
+        shift = 1.0 - half
 
-        xp = x.reshape(-1, self.input_size) @ wx
-        xp = xp.reshape(b_sz, t_len, 4 * hs) + bias
+        x = np.ascontiguousarray(x)
+        gates = (x.reshape(-1, self.input_size) @ wx).reshape(t_len, b_sz, 4 * hs)
+        gates += bias
+        gates *= half
+        wh_half = wh * half
+        gates4 = gates.reshape(t_len, b_sz, 4, hs)
+        cells = np.empty((t_len, b_sz, hs), dtype=x.dtype)
+        tanh_c = np.empty_like(cells)
+        hidden = np.empty_like(cells)
 
-        gates_i = np.empty((b_sz, t_len, hs), dtype=x.dtype)
-        gates_f = np.empty_like(gates_i)
-        gates_g = np.empty_like(gates_i)
-        gates_o = np.empty_like(gates_i)
-        cells = np.empty_like(gates_i)
-        tanh_c = np.empty_like(gates_i)
-        hidden = np.empty_like(gates_i)
-
-        h_prev = np.zeros((b_sz, hs), dtype=x.dtype)
-        c_prev = np.zeros((b_sz, hs), dtype=x.dtype)
+        h_prev = c_prev = np.zeros((b_sz, hs), dtype=x.dtype)
         for t in range(t_len):
-            a = xp[:, t] + h_prev @ wh
-            i = sigmoid(a[:, :hs])
-            f = sigmoid(a[:, hs:2 * hs])
-            g = np.tanh(a[:, 2 * hs:3 * hs])
-            o = sigmoid(a[:, 3 * hs:])
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates_i[:, t] = i
-            gates_f[:, t] = f
-            gates_g[:, t] = g
-            gates_o[:, t] = o
-            cells[:, t] = c
-            tanh_c[:, t] = tc
-            hidden[:, t] = h
-            h_prev, c_prev = h, c
+            a = gates[t]
+            a += h_prev @ wh_half
+            np.tanh(a, out=a)
+            a *= half
+            a += shift
+            i, f, g, o = gates4[t].transpose(1, 0, 2)
+            c = cells[t]
+            np.multiply(f, c_prev, out=c)
+            c += i * g
+            np.tanh(c, out=tanh_c[t])
+            np.multiply(o, tanh_c[t], out=hidden[t])
+            h_prev, c_prev = hidden[t], c
 
-        self._cache = (x, gates_i, gates_f, gates_g, gates_o, cells, tanh_c, hidden)
+        self._cache = (x, gates, cells, tanh_c, hidden)
         return hidden
 
     def _run_backward(self, dh_out: np.ndarray) -> np.ndarray:
-        x, gi, gf, gg, go, cells, tanh_c, hidden = self._cache
-        b_sz, t_len, _ = x.shape
+        x, gates, cells, tanh_c, hidden = self._cache
+        t_len, b_sz, _ = x.shape
         hs = self.hidden_size
-        wx, wh = self.params["wx"], self.params["wh"]
+        i, f, g, o = gates.reshape(t_len, b_sz, 4, hs).transpose(2, 0, 1, 3)
 
-        d_pre = np.empty((b_sz, t_len, 4 * hs), dtype=x.dtype)
-        dwh = np.zeros_like(wh)
+        # d_pre starts as the part of each gate gradient that the forward
+        # pass fixes: di = dc * [i(1-i) g], df = dc * [f(1-f) c_prev],
+        # dg = dc * [(1-g^2) i], do = dh * [o(1-o) tanh(c)].
+        d_pre = 1.0 - gates
+        d_pre *= gates
+        d_i, d_f, d_g, d_o = d_pre.reshape(t_len, b_sz, 4, hs).transpose(2, 0, 1, 3)
+        d_g[...] = 1.0 - g * g
+        d_i *= g
+        d_g *= i
+        d_f[1:] *= cells[:-1]
+        d_f[0] = 0.0
+        d_o *= tanh_c
+        dc_from_dh = o * (1.0 - tanh_c * tanh_c)
+
+        d_ifg = d_pre.reshape(t_len, b_sz, 4, hs)[:, :, :3]
+        wh_t = np.ascontiguousarray(self.params["wh"].T)
         dh_next = np.zeros((b_sz, hs), dtype=x.dtype)
-        dc_next = np.zeros((b_sz, hs), dtype=x.dtype)
-        zeros = np.zeros((b_sz, hs), dtype=x.dtype)
-
+        dc = np.zeros((b_sz, hs), dtype=x.dtype)
         for t in range(t_len - 1, -1, -1):
-            i, f, g, o = gi[:, t], gf[:, t], gg[:, t], go[:, t]
-            tc = tanh_c[:, t]
-            dh = dh_out[:, t] + dh_next
-            do = dh * tc * o * (1 - o)
-            dc = dc_next + dh * o * (1 - tc * tc)
-            di = dc * g * i * (1 - i)
-            dg = dc * i * (1 - g * g)
-            c_prev = cells[:, t - 1] if t > 0 else zeros
-            df = dc * c_prev * f * (1 - f)
-            da = np.concatenate([di, df, dg, do], axis=1)
-            d_pre[:, t] = da
+            dh = dh_out[t] + dh_next
+            d_o[t] *= dh
+            dc += dh * dc_from_dh[t]
+            d_ifg[t] *= dc[:, None]
+            dh_next = d_pre[t] @ wh_t
+            dc *= f[t]
 
-            h_prev = hidden[:, t - 1] if t > 0 else zeros
-            dwh += h_prev.T @ da
-            dh_next = da @ wh.T
-            dc_next = dc * f
-
-        flat_x = x.reshape(-1, self.input_size)
         flat_da = d_pre.reshape(-1, 4 * hs)
         self.grads = {
-            "wx": flat_x.T @ flat_da,
-            "wh": dwh,
+            "wx": x.reshape(-1, self.input_size).T @ flat_da,
+            "wh": hidden[:-1].reshape(-1, hs).T @ d_pre[1:].reshape(-1, 4 * hs),
             "b": flat_da.sum(axis=0),
         }
-        return (flat_da @ wx.T).reshape(x.shape)
+        return (flat_da @ self.params["wx"].T).reshape(x.shape)
 
 
 class BiLSTM:
@@ -156,6 +158,4 @@ class BiLSTM:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         hs = self.hidden_size
-        dx = self.fw.backward(np.ascontiguousarray(dy[:, :, :hs]))
-        dx = dx + self.bw.backward(np.ascontiguousarray(dy[:, :, hs:]))
-        return dx
+        return self.fw.backward(dy[:, :, :hs]) + self.bw.backward(dy[:, :, hs:])

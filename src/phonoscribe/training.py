@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +31,18 @@ class InsufficientSamplesError(ValueError):
 
 class NumericError(RuntimeError):
     pass
+
+
+class ConfigError(ValueError):
+    """A config block names a field its settings class does not have."""
+
+
+def parse_settings(cls, d: dict, block: str):
+    """``cls(**d)``; a key ``cls`` lacks is a ConfigError naming ``block``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
+    return cls(**d)
 
 
 class StageError(RuntimeError):
@@ -68,13 +80,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        if "model" in d:
-            d["model"] = ModelConfig(**d["model"])
-        if "norm" in d:
-            d["norm"] = FeatureNorm(**d["norm"])
-        if "features" in d:
-            d["features"] = FeatureConfig(**d["features"])
-        return cls(**d)
+        for block, settings_cls in (("model", ModelConfig), ("norm", FeatureNorm),
+                                    ("features", FeatureConfig)):
+            if block in d:
+                d[block] = parse_settings(settings_cls, d[block], block)
+        return parse_settings(cls, d, "train")
 
 
 @dataclass
@@ -128,21 +138,19 @@ class Checkpoint:
         meta, arrays = load_checkpoint(path)
         try:
             config = TrainConfig.from_dict(meta["train_config"])
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ConfigError) as e:
             raise CheckpointError(
                 f"{path}: no usable train_config in the checkpoint meta: {e}") from e
-        params = {k[len("param/"):]: v for k, v in arrays.items()
-                  if k.startswith("param/")}
-        buffers = {k[len("buffer/"):]: v for k, v in arrays.items()
-                   if k.startswith("buffer/")}
-        optimizer = {k[len("opt/"):]: v for k, v in arrays.items()
-                     if k.startswith("opt/")} or None
+        sections = {"param": {}, "buffer": {}, "opt": {}}
+        for key, value in arrays.items():
+            prefix, _, name = key.partition("/")
+            sections.setdefault(prefix, {})[name] = value
         progress = meta.get("progress", {})
         return cls(
             config=config,
-            params=params,
-            buffers=buffers,
-            optimizer=optimizer,
+            params=sections["param"],
+            buffers=sections["buffer"],
+            optimizer=sections["opt"] or None,
             optimizer_t=progress.get("optimizer_t", 0),
             epoch=progress.get("epoch", 0),
             step=progress.get("step", 0),

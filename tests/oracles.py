@@ -99,6 +99,23 @@ def ctc_brute_force(probs: np.ndarray, labels) -> float:
     return total
 
 
+def naive_lstm(x: np.ndarray, wx, wh, b) -> np.ndarray:
+    """One LSTM direction over (B, T, I), time front to back, gate order
+    (i, f, g, o), one sample and one step at a time with exp-form sigmoids."""
+    hidden = wh.shape[0]
+    out = np.zeros(x.shape[:2] + (hidden,))
+    for n in range(x.shape[0]):
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        for t in range(x.shape[1]):
+            a = x[n, t] @ wx + h @ wh + b
+            i, f, g, o = (a[k * hidden:(k + 1) * hidden] for k in range(4))
+            c = c / (1.0 + np.exp(-f)) + np.tanh(g) / (1.0 + np.exp(-i))
+            h = np.tanh(c) / (1.0 + np.exp(-o))
+            out[n, t] = h
+    return out
+
+
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f at x, one coordinate at a time."""
     grad = np.zeros_like(x, dtype=np.float64)

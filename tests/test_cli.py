@@ -177,6 +177,19 @@ class TestFeaturizeCommand:
                     "--out", out]) == 0
         assert dsp.load_features(out / "a.wav.phfm").shape == (198, 40)
 
+    @pytest.mark.parametrize("block", ["features", "norm"])
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys, block):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        make_wav(cache / "a.wav")
+        samples = sample_csv(tmp_path, ["a.wav"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({block: {"bogus": 1}}))
+        assert run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", tmp_path / "features", "--norm", "use",
+                    "--config", config]) == 2
+        assert f"unknown {block} key(s): bogus" in capsys.readouterr().err
+
 
     def test_unreadable_wav_exits_one(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -254,6 +267,33 @@ class TestTrainCommand:
         assert (run_dir / "epoch_2.phck").exists()
         written = json.loads((run_dir / "config.json").read_text())
         assert written["epochs"] == 2
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        samples, features = featurized_fixture(tmp_path)
+        config = tiny_config_file(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", config]
+        straight = tmp_path / "straight"
+        assert run(common + ["--run-dir", straight, "--epochs", 2]) == 0
+        halves = tmp_path / "halves"
+        assert run(common + ["--run-dir", halves, "--epochs", 1]) == 0
+        assert run(common + ["--run-dir", halves, "--epochs", 2,
+                             "--resume", halves / "epoch_1.phck"]) == 0
+        assert (straight / "epoch_2.phck").read_bytes() == \
+            (halves / "epoch_2.phck").read_bytes()
+
+    @pytest.mark.parametrize("block", ["train", "model", "norm", "features"])
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys, block):
+        samples, features = featurized_fixture(tmp_path)
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config.setdefault(block, {})["bogus"] = 1
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"unknown {block} key(s): bogus" in err
 
 
 def zero_checkpoint(tmp_path, mfcc_coefficients=8):

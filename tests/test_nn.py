@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, naive_lstm, relative_error
 from phonoscribe.nn import (
     AdamW,
     BatchNorm1d,
@@ -76,6 +76,18 @@ class TestConv1d:
         layer = Conv1d(3, 4, 3, rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 6, 3))
         check_layer_gradients(layer, x, layer.forward, seed=seed)
+
+    def test_weight_gradient_matches_einsum(self):
+        rng = rng64(5)
+        layer = Conv1d(3, 7, 5, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(2, 9, 3))
+        layer.forward(x)
+        dy = rng.normal(size=(2, 9, 7))
+        layer.backward(dy)
+        x_pad = np.pad(x, ((0, 0), (2, 2), (0, 0)))
+        expected = np.stack([np.einsum("bti,bto->io", x_pad[:, k:k + 9], dy)
+                             for k in range(5)])
+        assert np.allclose(layer.grads["w"], expected)
 
 
 class TestReLU:
@@ -218,6 +230,15 @@ class TestLinear:
         x = rng.normal(size=(2, 5, 4))
         check_layer_gradients(layer, x, layer.forward, seed=seed)
 
+    def test_weight_gradient_matches_einsum(self):
+        rng = rng64(25)
+        layer = Linear(4, 6, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(3, 5, 4))
+        layer.forward(x)
+        dy = rng.normal(size=(3, 5, 6))
+        layer.backward(dy)
+        assert np.allclose(layer.grads["w"], np.einsum("bti,bto->io", x, dy))
+
 
 class TestLSTM:
     def test_zero_weights_give_zero_output(self):
@@ -250,6 +271,39 @@ class TestLSTM:
         layer = LSTM(3, 4, rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 5, 3))
         check_layer_gradients(layer, x, layer.forward, seed=seed, tol=1e-5)
+
+    def test_matches_naive_loop(self):
+        rng = rng64(35)
+        layer = LSTM(4, 5, rng=rng, dtype=np.float64)
+        layer.params["b"][:] = rng.normal(size=20)
+        x = rng.normal(size=(3, 7, 4))
+        want = naive_lstm(x, *(layer.params[k] for k in ("wx", "wh", "b")))
+        assert np.allclose(layer.forward(x), want, rtol=0, atol=1e-12)
+
+    def test_bptt_gradients_reverse_wider_shape(self):
+        rng = rng64(36)
+        layer = LSTM(4, 5, reverse=True, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(3, 7, 4))
+        check_layer_gradients(layer, x, layer.forward, tol=1e-5)
+
+    def test_float32_saturated_gates(self):
+        # Pre-activations of +-1e3 drive every gate to exactly 0 or 1. With
+        # x = +1: i = o = 1, f = 0, g = 1, so c = 1 and h = tanh(1) at every
+        # step; with x = -1: i = o = 0, f = 1, g = -1, so c = h = 0.
+        layer = LSTM(1, 2, dtype=np.float32)
+        signs = np.repeat([1e3, -1e3, 1e3, 1e3], 2)  # (i, f, g, o), 2 units each
+        layer.params["wx"][:] = signs
+        layer.params["wh"][:] = signs  # h >= 0 only deepens the saturation
+        x = np.array([1.0, -1.0], dtype=np.float32).reshape(2, 1, 1)
+        x = np.repeat(x, 6, axis=1)
+        y = layer.forward(x)
+        assert np.array_equal(y[0], np.full((6, 2), np.tanh(np.float32(1.0))))
+        assert np.array_equal(y[1], np.zeros((6, 2)))
+        # Saturated gates pass no gradient, and nothing overflows on the way.
+        dx = layer.backward(np.ones_like(y))
+        assert np.array_equal(dx, np.zeros_like(dx))
+        for name, grad in layer.grads.items():
+            assert np.array_equal(grad, np.zeros_like(grad)), name
 
     def test_reverse_direction_mirrors_forward(self):
         rng = rng64(33)
@@ -431,6 +485,14 @@ class TestCheckpointFile:
         assert loaded_meta == meta
         for key, value in arrays.items():
             assert np.array_equal(loaded[key], value)
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {}, {"w": np.ones((2, 3), np.float32)})
+        _, loaded = load_checkpoint(path)
+        assert not loaded["w"].flags.writeable
+        with pytest.raises(ValueError):
+            loaded["w"][0, 0] = 2.0
 
     def test_magic(self, tmp_path):
         path = tmp_path / "x.phck"
