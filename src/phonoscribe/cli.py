@@ -30,7 +30,11 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            config = json.load(f)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise training.ConfigError(f"config file {path} is not JSON: {e}") from e
+    return training.require_object(config, f"config file {path}")
 
 
 def cmd_filter(args) -> int:
@@ -130,7 +134,8 @@ def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample
 
 def _build_train_config(args) -> training.TrainConfig:
     file_config = _load_config_file(args.config)
-    settings = dict(file_config.get("train", {}))
+    settings = dict(training.require_object(file_config.get("train", {}),
+                                            "the train block"))
     for block in ("model", "norm", "features"):
         if block in file_config:
             settings[block] = file_config[block]

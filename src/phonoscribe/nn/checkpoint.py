@@ -8,12 +8,17 @@ Layout, all integers little-endian:
 
 The JSON block is serialized with sorted keys and compact separators, so a
 given (meta, arrays) pair always produces identical bytes. Loaded arrays are
-read-only views of the file's bytes; whoever needs to write copies them.
+views of a read-only memory map of the file, so pages of arrays nobody reads
+are never read from disk; whoever needs to write copies them. The map stays
+valid while any view is alive: ``save_checkpoint`` replaces a file with
+``os.replace``, so an open map keeps the old file's contents.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import secrets
 import struct
@@ -50,7 +55,11 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        try:
+            raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as e:  # an empty file cannot be mapped
+            raise CheckpointError(f"empty checkpoint: {e}") from e
     offset = 0
 
     def advance(size: int) -> int:
@@ -65,25 +74,32 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     def take(fmt: str):
         return struct.unpack_from(fmt, raw, advance(struct.calcsize(fmt)))
 
-    def take_bytes(size: int) -> bytes:
+    def take_text(size: int) -> str:
         start = advance(size)
-        return raw[start:start + size]
+        try:
+            return raw[start:start + size].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"text field is not UTF-8: {e}") from e
 
     magic, version, json_len = take("<4sHI")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    meta = json.loads(take_bytes(json_len).decode("utf-8"))
+    text = take_text(json_len)
+    try:
+        meta = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise CheckpointError(f"config block is not JSON: {e}") from e
 
     (count,) = take("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = take_bytes(name_len).decode("utf-8")
+        name = take_text(name_len)
         (rank,) = take("<I")
         shape = take(f"<{rank}I")
-        n_values = int(np.prod(shape)) if rank else 1
+        n_values = math.prod(shape)
         data = np.frombuffer(raw, dtype="<f4", count=n_values,
                              offset=advance(4 * n_values))
         arrays[name] = data.reshape(shape)

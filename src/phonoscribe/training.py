@@ -34,11 +34,22 @@ class NumericError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config block names a field its settings class does not have."""
+    """A config file or block is not a JSON object, or names a field its
+    settings class does not have."""
+
+
+def require_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object (a dict), else a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def parse_settings(cls, d: dict, block: str):
-    """``cls(**d)``; a key ``cls`` lacks is a ConfigError naming ``block``."""
+    """``cls(**d)``; a ``d`` that is not an object, or a key ``cls`` lacks,
+    is a ConfigError naming ``block``."""
+    require_object(d, f"the {block} block")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
@@ -197,30 +208,23 @@ def _stack_standardized(batch, norm: FeatureNorm, dtype) -> np.ndarray:
 def _ctc_batch(logits: np.ndarray, labels: list[list[int]]):
     """Mean CTC loss over the batch and the gradient w.r.t. the logits."""
     batch_size = logits.shape[0]
-    dlogits = np.empty(logits.shape, dtype=np.float64)
-    total = 0.0
-    for b in range(batch_size):
-        logp = ctc.log_softmax(logits[b].astype(np.float64))
-        loss, dlogp = ctc.ctc_loss(logp, labels[b])
-        dlogits[b] = ctc.log_softmax_backward(dlogp, logp) / batch_size
-        total += loss
-    return total / batch_size, dlogits.astype(logits.dtype)
+    logp = ctc.log_softmax(logits.astype(np.float64))
+    losses, dlogp = ctc.ctc_loss_batch(logp, labels)
+    dlogits = ctc.log_softmax_backward(dlogp, logp) / batch_size
+    return float(losses.mean()), dlogits.astype(logits.dtype)
 
 
 def _eval_pass(model, eval_batches, norm):
     losses = []
     correct = 0
-    total = 0
     for batch in eval_batches:
         x = _stack_standardized(batch, norm, model.dtype)
-        logits = model.forward(x, train=False)
-        for b, sample in enumerate(batch):
-            logp = ctc.log_softmax(logits[b].astype(np.float64))
-            loss, _ = ctc.ctc_loss(logp, sample.label)
-            losses.append(loss)
-            total += 1
-            correct += ctc.greedy_decode(logp) == sample.label
-    return float(np.mean(losses)), correct / total
+        logp = ctc.log_softmax(model.forward(x, train=False).astype(np.float64))
+        batch_losses, _ = ctc.ctc_loss_batch(logp, [s.label for s in batch])
+        losses.extend(batch_losses)
+        correct += sum(ctc.greedy_decode(row) == sample.label
+                       for row, sample in zip(logp, batch))
+    return float(np.mean(losses)), correct / len(losses)
 
 
 def train_run(

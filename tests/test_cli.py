@@ -190,6 +190,25 @@ class TestFeaturizeCommand:
                     "--config", config]) == 2
         assert f"unknown {block} key(s): bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_json, message", [
+        ({"features": 5}, "the features block must be a JSON object"),
+        ([1, 2], "must be a JSON object, not list"),
+        ("{bad", "is not JSON"),
+    ], ids=["block-int", "file-list", "not-json"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, config_json,
+                                         message):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        make_wav(cache / "a.wav")
+        samples = sample_csv(tmp_path, ["a.wav"])
+        config = tmp_path / "config.json"
+        config.write_text(config_json if isinstance(config_json, str)
+                          else json.dumps(config_json))
+        assert run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", tmp_path / "features", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
 
     def test_unreadable_wav_exits_one(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -294,6 +313,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"unknown {block} key(s): bogus" in err
+
+    @pytest.mark.parametrize("config_json, message", [
+        ({"model": 5}, "the model block must be a JSON object, not int"),
+        ({"train": [1]}, "the train block must be a JSON object, not list"),
+        ({"norm": None}, "the norm block must be a JSON object, not NoneType"),
+        ([1, 2], "must be a JSON object, not list"),
+        ("{bad", "is not JSON"),
+    ], ids=["block-int", "train-list", "norm-null", "file-list", "not-json"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, config_json,
+                                         message):
+        samples, features = featurized_fixture(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(config_json if isinstance(config_json, str)
+                        else json.dumps(config_json))
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
 
 
 def zero_checkpoint(tmp_path, mfcc_coefficients=8):

@@ -5,6 +5,7 @@ from oracles import ctc_brute_force, finite_difference, relative_error
 from phonoscribe.ctc import (
     InfeasibleLengthError,
     ctc_loss,
+    ctc_loss_batch,
     greedy_decode,
     log_softmax,
     log_softmax_backward,
@@ -132,6 +133,103 @@ class TestCtcLossValues:
         loss, grad = ctc_loss(logp, [1, 5, 9, 3])
         assert np.isfinite(loss)
         assert np.isfinite(grad).all()
+
+
+class TestCtcLossBatch:
+    def assert_matches_per_sample(self, logp, labels):
+        losses, grad = ctc_loss_batch(logp, labels)
+        assert losses.shape == (len(labels),)
+        assert grad.shape == logp.shape
+        for b, seq in enumerate(labels):
+            loss, want = ctc_loss(logp[b], seq)
+            assert np.allclose(losses[b], loss, rtol=0, atol=1e-12)
+            assert np.allclose(grad[b], want, rtol=0, atol=1e-12)
+
+    def test_mixed_lengths_match_per_sample_loop(self):
+        rng = np.random.default_rng(20)
+        t_len = 8
+        labels = [
+            [3],                    # length 1
+            [1, 1],                 # blank-separated repeat
+            [0, 2, 2, 1, 1, 0],     # needs exactly min_frames == t_len
+            [4, 0, 4],
+            [2, 2, 2],
+        ]
+        assert min_frames(labels[2]) == t_len
+        logp = np.stack([random_logp(rng, t_len, 6) for _ in labels])
+        self.assert_matches_per_sample(logp, labels)
+
+    def test_equal_lengths_match_per_sample_loop(self):
+        rng = np.random.default_rng(21)
+        labels = [[0, 1, 2], [2, 2, 0], [1, 0, 1], [3, 3, 3]]
+        logp = np.stack([random_logp(rng, 12, 5) for _ in labels])
+        self.assert_matches_per_sample(logp, labels)
+
+    def test_random_batches_match_per_sample_loop(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            t_len = int(rng.integers(1, 40))
+            n_classes = int(rng.integers(2, 9))
+            labels = []
+            while len(labels) < rng.integers(1, 9):
+                seq = list(rng.integers(0, n_classes - 1,
+                                        size=rng.integers(1, 12)))
+                if min_frames(seq) <= t_len:
+                    labels.append(seq)
+            logp = np.stack([random_logp(rng, t_len, n_classes) for _ in labels])
+            self.assert_matches_per_sample(logp, labels)
+
+    def test_matches_brute_force_enumeration(self):
+        rng = np.random.default_rng(23)
+        n_classes = 4
+        for t_len in range(1, 5):
+            for _ in range(10):
+                labels = []
+                while len(labels) < 3:
+                    seq = list(rng.integers(0, n_classes - 1,
+                                            size=rng.integers(1, 4)))
+                    if min_frames(seq) <= t_len:
+                        labels.append(seq)
+                logp = np.stack([random_logp(rng, t_len, n_classes)
+                                 for _ in labels])
+                losses, _ = ctc_loss_batch(logp, labels)
+                for b, seq in enumerate(labels):
+                    want = ctc_brute_force(np.exp(logp[b]), seq)
+                    assert np.exp(-losses[b]) == pytest.approx(want, abs=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        # a random weight per sample checks that each sample's gradient
+        # lands in its own rows
+        rng = np.random.default_rng(24)
+        labels = [[0], [1, 1], [2, 0, 3]]
+        logp = np.stack([random_logp(rng, 5, 5) for _ in labels])
+        weights = rng.normal(size=len(labels))
+
+        def loss():
+            return float(ctc_loss_batch(logp, labels)[0] @ weights)
+
+        _, grad = ctc_loss_batch(logp, labels)
+        analytic = grad * weights[:, None, None]
+        numeric = finite_difference(loss, logp)
+        assert relative_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("bad, error", [
+        ([0, 1, 0, 1], InfeasibleLengthError),  # 4 frames needed, 3 given
+        ([2, 2, 2], InfeasibleLengthError),     # 5 frames needed
+        ([], ValueError),
+        ([4], ValueError),                      # the blank id
+        ([-1], ValueError),
+    ])
+    def test_one_bad_sample_fails_the_batch(self, bad, error):
+        rng = np.random.default_rng(25)
+        logp = np.stack([random_logp(rng, 3, 5) for _ in range(3)])
+        with pytest.raises(error):
+            ctc_loss_batch(logp, [[0, 1], bad, [3]])
+
+    def test_label_count_must_match_batch(self):
+        logp = random_logp(np.random.default_rng(26), 3, 5)[None]
+        with pytest.raises(ValueError):
+            ctc_loss_batch(logp, [[0], [1]])
 
 
 def logp_from_argmax(frames, n_classes):

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import finite_difference, naive_lstm, relative_error
 from phonoscribe.nn import (
@@ -471,6 +475,22 @@ class TestCountParams:
         assert "conv1_bn.running_mean" in model.buffers()
 
 
+def _small_phck() -> bytes:
+    """A valid one-array checkpoint with a non-ASCII name, built by hand."""
+    meta = b'{"a":1}'
+    name = "wé".encode("utf-8")
+    return (struct.pack("<4sHI", b"PHCK", 1, len(meta)) + meta
+            + struct.pack("<IH", 1, len(name)) + name
+            + struct.pack("<I2I", 2, 2, 2) + np.ones(4, "<f4").tobytes())
+
+
+SMALL_PHCK = _small_phck()
+
+
+def overwrite_byte(raw: bytes, at: int, value: int) -> bytes:
+    return raw[:at] + bytes([value]) + raw[at + 1:]
+
+
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
         rng = rng64(70)
@@ -530,3 +550,48 @@ class TestCheckpointFile:
         save_checkpoint(first, meta, arrays)
         save_checkpoint(second, dict(reversed(meta.items())), arrays)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "x.phck"
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", [b"\xff\xfe", b"{not json", b"[" * 100_000],
+                             ids=["not-utf8", "not-json", "too-deep"])
+    def test_unreadable_config_block_rejected(self, tmp_path, block):
+        path = tmp_path / "x.phck"
+        path.write_bytes(struct.pack("<4sHI", b"PHCK", 1, len(block)) + block
+                         + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_every_prefix_loads_or_is_rejected(self, tmp_path):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {"a": [1, "é"]},
+                        {"é": np.ones((2, 3), np.float32),
+                         "z": np.ones((0, 4), np.float32)})
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        path.write_bytes(raw)
+        _, arrays = load_checkpoint(path)
+        assert arrays["z"].shape == (0, 4)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda tail: b"PHCK\x01\x00" + tail),
+        st.tuples(st.integers(0, len(SMALL_PHCK) - 1), st.integers(0, 255))
+        .map(lambda edit: overwrite_byte(SMALL_PHCK, *edit)),
+    ))
+    def test_arbitrary_bytes_load_or_are_rejected(self, tmp_path, data):
+        path = tmp_path / "x.phck"
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -15,6 +15,7 @@ from phonoscribe.training import (
     StageError,
     TrainConfig,
     _chunk,
+    _ctc_batch,
     _rng,
     _split,
     infer,
@@ -55,6 +56,23 @@ def split_and_batch(samples, config):
     train_split, eval_split = _split(samples, config)
     return (_chunk(train_split, config.batch_size),
             _chunk(eval_split, config.batch_size))
+
+
+class TestCtcBatch:
+    def test_matches_per_sample_composition(self):
+        rng = np.random.default_rng(40)
+        labels = [[2], [1, 1], [0, 3, 0, 3], [3, 2]]
+        logits = (rng.normal(size=(4, 9, 5)) * 3).astype(np.float32)
+        loss, dlogits = _ctc_batch(logits, labels)
+        assert dlogits.dtype == np.float32
+        losses = []
+        for b, seq in enumerate(labels):
+            logp = ctc.log_softmax(logits[b].astype(np.float64))
+            sample_loss, dlogp = ctc.ctc_loss(logp, seq)
+            losses.append(sample_loss)
+            want = (ctc.log_softmax_backward(dlogp, logp) / 4).astype(np.float32)
+            assert np.array_equal(dlogits[b], want)
+        assert loss == pytest.approx(np.mean(losses), rel=1e-15)
 
 
 class TestSplitAndBatch:
