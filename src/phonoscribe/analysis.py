@@ -174,11 +174,7 @@ def distance_stats(pairs: Sequence[PredictionPair]) -> tuple[float, float]:
     return float(distances.mean()), float(distances.std())
 
 
-def suspects(
-    pairs: Sequence[PredictionPair],
-    top_k: int | None = None,
-    min_distance: int | None = None,
-) -> list[SuspectRow]:
+def suspects(pairs: Sequence[PredictionPair]) -> list[SuspectRow]:
     """Pairs ranked by falling distance (ties: word order); likely bad samples."""
     rows = [
         SuspectRow(
@@ -188,11 +184,8 @@ def suspects(
             distance=p.distance,
         )
         for p in pairs
-        if min_distance is None or p.distance >= min_distance
     ]
     rows.sort(key=lambda r: (-r.distance, r.word))
-    if top_k is not None:
-        rows = rows[:top_k]
     return rows
 
 

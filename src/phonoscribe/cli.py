@@ -96,23 +96,25 @@ def cmd_featurize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    matrices = []
-    for sample in samples:
-        features = training.wav_features(cache / sample.audio_filename,
-                                         feature_config)
-        dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
-        matrices.append(features)
-        print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
+    def write_features():
+        for sample in samples:
+            features = training.wav_features(cache / sample.audio_filename,
+                                             feature_config)
+            dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
+            print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
+            yield features
 
-    if args.norm == "compute":
-        norm = dsp.compute_norm(matrices)
+    if args.norm == "compute":  # the norm sums each matrix as it is written
+        norm = dsp.compute_norm(write_features())
     else:
+        for _ in write_features():
+            pass
         norm_settings = file_config.get("norm")
         norm = (training.parse_settings(dsp.FeatureNorm, norm_settings, "norm")
                 if norm_settings else dsp.DEFAULT_NORM)
     with open(out_dir / "norm.json", "w", encoding="utf-8") as f:
         json.dump({"mean": norm.mean, "std": norm.std}, f, sort_keys=True)
-    _err(f"featurized {len(matrices)} file(s); norm mean={norm.mean} std={norm.std}")
+    _err(f"featurized {len(samples)} file(s); norm mean={norm.mean} std={norm.std}")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ def save_checkpoint(path: str | Path, meta: dict,
              blob,
              struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
+        data = np.asarray(arr, dtype="<f4")  # tobytes() writes C order
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)

@@ -1,9 +1,17 @@
 """Feed-forward layers with hand-derived backward passes.
 
-All layers operate on batched sequences shaped (batch, time, channels).
-Each layer caches whatever its backward pass needs during forward, exposes
-trainable arrays in ``params`` and fills ``grads`` (same keys) on backward.
-Backward passes overwrite grads; one optimizer step per backward.
+Every layer here and in ``lstm.py`` has the same surface, on batched
+sequences shaped (batch, time, channels):
+
+- ``forward(x, ctx=None)``. ``ctx`` is None in eval mode; in training it is
+  the dropout key ``(seed, step)``. BatchNorm1d uses batch statistics
+  exactly when ``ctx`` is not None, Dropout draws its mask from ``(seed,
+  layer_id, step)``, and every other layer ignores ``ctx``. Forward caches
+  whatever backward needs.
+- ``backward(dy)`` returns the input gradient of the last forward and
+  overwrites ``grads``; one optimizer step per backward.
+- ``params``, ``grads`` (same keys, filled by backward) and ``buffers``
+  (state that is saved but not trained) are dicts of the instance.
 """
 
 from __future__ import annotations
@@ -17,6 +25,12 @@ class ShapeMismatchError(ValueError):
 
 class DegenerateBatchError(ValueError):
     pass
+
+
+def collect(named_layers, attr: str) -> dict[str, np.ndarray]:
+    """``{"name.key": array}`` over the ``attr`` dict of each (name, layer)."""
+    return {f"{name}.{key}": value for name, layer in named_layers
+            for key, value in getattr(layer, attr).items()}
 
 
 def uniform_init(rng, shape, fan_in: int, dtype) -> np.ndarray:
@@ -41,9 +55,10 @@ class Conv1d:
                          in_channels * kernel_size, dtype)
         self.params = {"w": w, "b": np.zeros(out_channels, dtype=dtype)}
         self.grads = {}
+        self.buffers = {}
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.in_channels}), got {x.shape}")
@@ -72,10 +87,10 @@ class Conv1d:
 
 
 class ReLU:
-    params: dict = {}
-    grads: dict = {}
+    def __init__(self):
+        self.params, self.grads, self.buffers = {}, {}, {}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         self._mask = x > 0  # strict: no gradient at exactly 0
         return np.maximum(x, 0)
 
@@ -86,8 +101,9 @@ class ReLU:
 class BatchNorm1d:
     """Per-channel normalization over the batch and time axes.
 
-    Train mode normalizes with batch statistics (population variance) and
-    updates running stats with momentum 0.1; eval mode uses running stats.
+    Train mode (``ctx`` given) normalizes with batch statistics (population
+    variance) and updates running stats with momentum 0.1; eval mode uses
+    running stats.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
@@ -105,10 +121,11 @@ class BatchNorm1d:
         self.grads = {}
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.channels:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.channels}), got {x.shape}")
+        train = ctx is not None
         if train:
             if x.shape[0] * x.shape[1] == 1:
                 raise DegenerateBatchError("batch x time == 1 in train mode")
@@ -153,23 +170,21 @@ class Dropout:
     so a resumed run draws exactly the masks the uninterrupted run would.
     """
 
-    params: dict = {}
-    grads: dict = {}
-
     def __init__(self, p: float, layer_id: int):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
         self.layer_id = layer_id
-        self.seed = 0
+        self.params, self.grads, self.buffers = {}, {}, {}
         self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool = False, step: int = 0):
-        if not train or self.p == 0.0:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
+        if ctx is None or self.p == 0.0:
             self._mask = None
             return x
+        seed, step = ctx
         key = np.array(
-            [np.uint64(self.seed), (np.uint64(self.layer_id) << np.uint64(32))
+            [np.uint64(seed), (np.uint64(self.layer_id) << np.uint64(32))
              | np.uint64(step & 0xFFFFFFFF)],
             dtype=np.uint64,
         )
@@ -195,9 +210,10 @@ class Linear:
             "b": np.zeros(out_features, dtype=dtype),
         }
         self.grads = {}
+        self.buffers = {}
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ShapeMismatchError(
                 f"expected trailing dim {self.in_features}, got {x.shape}")

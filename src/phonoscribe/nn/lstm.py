@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ShapeMismatchError, uniform_init
+from .layers import ShapeMismatchError, collect, uniform_init
 
 
 class LSTM:
@@ -42,9 +42,10 @@ class LSTM:
         b[hidden_size:2 * hidden_size] = 1.0  # forget-gate bias
         self.params = {"wx": wx, "wh": wh, "b": b}
         self.grads = {}
+        self.buffers = {}
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.input_size}), got {x.shape}")
@@ -140,22 +141,16 @@ class BiLSTM:
         self.hidden_size = hidden_size
         self.fw = LSTM(input_size, hidden_size, reverse=False, rng=rng, dtype=dtype)
         self.bw = LSTM(input_size, hidden_size, reverse=True, rng=rng, dtype=dtype)
+        self._directions = (("fw", self.fw), ("bw", self.bw))
+        self.params = collect(self._directions, "params")
+        self.grads = {}
+        self.buffers = {}
 
-    @property
-    def params(self):
-        out = {f"fw.{k}": v for k, v in self.fw.params.items()}
-        out.update({f"bw.{k}": v for k, v in self.bw.params.items()})
-        return out
-
-    @property
-    def grads(self):
-        out = {f"fw.{k}": v for k, v in self.fw.grads.items()}
-        out.update({f"bw.{k}": v for k, v in self.bw.grads.items()})
-        return out
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         return np.concatenate([self.fw.forward(x), self.bw.forward(x)], axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         hs = self.hidden_size
-        return self.fw.backward(dy[:, :, :hs]) + self.bw.backward(dy[:, :, hs:])
+        dx = self.fw.backward(dy[:, :, :hs]) + self.bw.backward(dy[:, :, hs:])
+        self.grads = collect(self._directions, "grads")
+        return dx

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNorm1d, Conv1d, Dropout, Linear, ReLU, ShapeMismatchError
+from .layers import (BatchNorm1d, Conv1d, Dropout, Linear, ReLU,
+                     ShapeMismatchError, collect)
 from .lstm import LSTM, BiLSTM
 
 
@@ -86,14 +87,9 @@ class TranscriptionModel:
         """(B, T, mfcc_coefficients) -> logits (B, T, output_classes)."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"expected (B, T, C), got {x.shape}")
+        ctx = (self.dropout_seed, step) if train else None
         for _, layer in self._layers:
-            if isinstance(layer, Dropout):
-                layer.seed = self.dropout_seed
-                x = layer.forward(x, train=train, step=step)
-            elif isinstance(layer, BatchNorm1d):
-                x = layer.forward(x, train=train)
-            else:
-                x = layer.forward(x)
+            x = layer.forward(x, ctx)
         return x
 
     def forward_single(self, features: np.ndarray) -> np.ndarray:
@@ -109,44 +105,36 @@ class TranscriptionModel:
         return dy
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for key, value in getattr(layer, "params", {}).items():
-                out[f"{name}.{key}"] = value
-        return out
+        return collect(self._layers, "params")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for key, value in getattr(layer, "grads", {}).items():
-                out[f"{name}.{key}"] = value
-        return out
+        return collect(self._layers, "grads")
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for key, value in getattr(layer, "buffers", {}).items():
-                out[f"{name}.{key}"] = value
-        return out
+        return collect(self._layers, "buffers")
 
     def load_arrays(self, params: dict[str, np.ndarray],
                     buffers: dict[str, np.ndarray] | None = None) -> None:
-        """Copy values into the existing parameter/buffer arrays by name."""
-        own = self.parameters()
-        if set(params) != set(own):
-            missing = set(own) ^ set(params)
-            raise ShapeMismatchError(f"parameter name mismatch: {sorted(missing)}")
-        for name, value in params.items():
-            if own[name].shape != value.shape:
-                raise ShapeMismatchError(
-                    f"{name}: expected {own[name].shape}, got {value.shape}")
-            own[name][...] = value
-        if buffers:
-            own_buf = self.buffers()
-            for name, value in buffers.items():
-                if name not in own_buf:
-                    raise ShapeMismatchError(f"unknown buffer {name}")
-                own_buf[name][...] = value
+        """Copy values into the existing parameter/buffer arrays by name.
+
+        Names and shapes must match the model's exactly; ``buffers=None``
+        leaves the running statistics as they are.
+        """
+        _copy_into(self.parameters(), params, "parameter")
+        if buffers is not None:
+            _copy_into(self.buffers(), buffers, "buffer")
+
+
+def _copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
+               kind: str) -> None:
+    if set(values) != set(own):
+        mismatched = set(own) ^ set(values)
+        raise ShapeMismatchError(f"{kind} name mismatch: {sorted(mismatched)}")
+    for name, value in values.items():
+        if own[name].shape != value.shape:
+            raise ShapeMismatchError(
+                f"{name}: expected {own[name].shape}, got {value.shape}")
+        own[name][...] = value
 
 
 def count_params(config: ModelConfig) -> int:

@@ -199,16 +199,6 @@ class TestSuspects:
     def test_empty_input(self):
         assert suspects([]) == []
 
-    def test_min_distance_on_exact_corpus(self):
-        assert suspects([pair("a", "a")], min_distance=1) == []
-
-    def test_top_k_slices(self):
-        assert len(suspects(top10_pairs(), top_k=3)) == 3
-
-    def test_min_distance_filters(self):
-        report = suspects(top10_pairs(), min_distance=10)
-        assert [r.distance for r in report] == [13, 11, 10, 10]
-
 
 class TestLengthAccuracy:
     def test_partition_means(self):

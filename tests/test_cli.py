@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from phonoscribe import cli, corpus, dsp
+from phonoscribe import analysis, cli, corpus, dsp
 from phonoscribe.cli import main
 from phonoscribe.training import Checkpoint, TrainConfig
 from phonoscribe.nn import ModelConfig, TranscriptionModel, save_checkpoint
@@ -389,6 +389,26 @@ class TestEvalCommand:
         assert code == 1
         assert "truncated feature header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["short-running-mean",
+                                      "missing-running-var"])
+    def test_bad_running_stats_exit_one(self, tmp_path, capsys, edit):
+        samples, features = featurized_fixture(tmp_path)
+        checkpoint = Checkpoint.load(zero_checkpoint(tmp_path))
+        buffers = dict(checkpoint.buffers)
+        if edit == "short-running-mean":
+            buffers["conv1_bn.running_mean"] = np.zeros(1, np.float32)
+        else:
+            del buffers["lstm2_bn.running_var"]
+        path = tmp_path / "bad.phck"
+        Checkpoint(config=checkpoint.config, params=checkpoint.params,
+                   buffers=buffers).save(path)
+        code = run(["eval", "--checkpoint", path, "--samples", samples,
+                    "--features", features, "--report-dir", tmp_path / "report"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+
     def test_suspects_keep_the_full_ranking(self, tmp_path, capsys):
         # zero weights decode every clip to "i": 25 suspects at distance 2
         samples, features = featurized_fixture(tmp_path, words=("ku",) * 25)
@@ -493,6 +513,11 @@ class TestSuspectsCommand:
             json.dumps({"suspects": rows}), encoding="utf-8")
         return report_dir
 
+    def write_bundle(self, tmp_path, pairs):
+        report_dir = tmp_path / "report"
+        analysis.write_report_bundle(report_dir, analysis.build_report(pairs))
+        return report_dir
+
     def test_top_slices(self, tmp_path, capsys):
         rows = [{"word": f"w{i}", "target_ipa": "a", "predicted_ipa": "b",
                  "distance": 10 - i} for i in range(5)]
@@ -519,19 +544,41 @@ class TestSuspectsCommand:
         # end-to-end over the report bundle: highest-distance entries of the
         # audited corpus come back in order with their distances
         from test_acceptance import TOP10
-        from phonoscribe import analysis
 
         pairs = [analysis.PredictionPair.build(
             w, f"{w}.wav", corpus.tokenize_ipa(t), corpus.tokenize_ipa(p))
             for w, t, p, _ in TOP10]
-        report_dir = tmp_path / "report"
-        analysis.write_report_bundle(report_dir, analysis.build_report(pairs))
+        report_dir = self.write_bundle(tmp_path, pairs)
         assert run(["suspects", "--report-dir", report_dir, "--top", 10]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 10
         assert lines[0] == "1337\tlit\tmitasɑ̃tʁɑ̃mzɔt\t13"
         assert [int(line.rsplit("\t", 1)[1]) for line in lines] == \
             [13, 11, 10, 10, 9, 9, 9, 9, 8, 8]
+
+    def test_top_k_slices(self, tmp_path, capsys):
+        from test_analysis import top10_pairs
+
+        report_dir = self.write_bundle(tmp_path, top10_pairs())
+        assert run(["suspects", "--report-dir", report_dir, "--top", 3]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_min_distance_filters(self, tmp_path, capsys):
+        from test_analysis import top10_pairs
+
+        report_dir = self.write_bundle(tmp_path, top10_pairs())
+        assert run(["suspects", "--report-dir", report_dir,
+                    "--min-distance", 10]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [int(line.rsplit("\t", 1)[1]) for line in lines] == [13, 11, 10, 10]
+
+    def test_min_distance_on_exact_corpus(self, tmp_path, capsys):
+        from test_analysis import pair
+
+        report_dir = self.write_bundle(tmp_path, [pair("a", "a")])
+        assert run(["suspects", "--report-dir", report_dir,
+                    "--min-distance", 1]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestInventoryCommand:

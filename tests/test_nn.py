@@ -1,3 +1,4 @@
+import inspect
 import struct
 
 import numpy as np
@@ -26,6 +27,7 @@ from phonoscribe.nn import (
 )
 
 GRAD_TOL = 1e-4
+TRAIN = (0, 0)  # a training ctx: the dropout key (seed, step)
 
 
 def rng64(seed):
@@ -120,14 +122,14 @@ class TestBatchNorm:
         # target variance 1 - eps so that sqrt(var + eps) is exactly 1
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
         x = x * np.sqrt(1.0 - layer.eps)
-        y = layer.forward(x, train=True)
+        y = layer.forward(x, TRAIN)
         assert np.abs(y - x).max() < 1e-6
 
     def test_beta_only_output(self):
         layer = BatchNorm1d(2, dtype=np.float64)
         layer.params["gamma"][:] = 0.0
         layer.params["beta"][:] = 5.0
-        y = layer.forward(rng64(3).normal(size=(2, 4, 2)), train=True)
+        y = layer.forward(rng64(3).normal(size=(2, 4, 2)), TRAIN)
         assert np.allclose(y, 5.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -137,13 +139,13 @@ class TestBatchNorm:
         layer.params["gamma"][:] = rng.uniform(0.5, 1.5, 3)
         layer.params["beta"][:] = rng.normal(size=3)
         x = rng.normal(size=(2, 5, 3))
-        check_layer_gradients(layer, x, lambda v: layer.forward(v, train=True),
+        check_layer_gradients(layer, x, lambda v: layer.forward(v, TRAIN),
                               seed=seed)
 
     def test_degenerate_batch(self):
         layer = BatchNorm1d(3)
         with pytest.raises(DegenerateBatchError):
-            layer.forward(np.zeros((1, 1, 3), dtype=np.float32), train=True)
+            layer.forward(np.zeros((1, 1, 3), dtype=np.float32), TRAIN)
 
     def test_running_stats_converge_geometrically(self):
         layer = BatchNorm1d(2, dtype=np.float64)
@@ -151,7 +153,7 @@ class TestBatchNorm:
         batch_mean = x.mean(axis=(0, 1))
         gaps = []
         for _ in range(60):
-            layer.forward(x, train=True)
+            layer.forward(x, TRAIN)
             gaps.append(np.abs(layer.buffers["running_mean"] - batch_mean).max())
         assert gaps[-1] < 1e-2
         # each step closes the gap by the momentum factor
@@ -161,7 +163,7 @@ class TestBatchNorm:
         layer = BatchNorm1d(1, dtype=np.float64)
         layer.buffers["running_mean"][:] = 2.0
         layer.buffers["running_var"][:] = 4.0
-        y = layer.forward(np.full((1, 2, 1), 4.0), train=False)
+        y = layer.forward(np.full((1, 2, 1), 4.0), None)
         assert np.allclose(y, (4.0 - 2.0) / np.sqrt(4.0 + 1e-5))
 
 
@@ -169,18 +171,18 @@ class TestDropout:
     def test_p_zero_is_identity(self):
         layer = Dropout(0.0, layer_id=1)
         x = rng64(5).normal(size=(2, 3, 4))
-        assert layer.forward(x, train=True, step=0) is x
+        assert layer.forward(x, TRAIN) is x
 
     def test_eval_mode_is_identity(self):
         layer = Dropout(0.5, layer_id=1)
         x = rng64(6).normal(size=(2, 3, 4))
-        assert layer.forward(x, train=False) is x
+        assert layer.forward(x, None) is x
 
     def test_survivor_rate_binomial_bound(self):
         layer = Dropout(0.3, layer_id=2)
         n = 1_000_000
         x = np.ones((1, 1000, 1000))
-        y = layer.forward(x, train=True, step=0)
+        y = layer.forward(x, TRAIN)
         survivors = np.count_nonzero(y)
         expected = n * 0.7
         sigma = np.sqrt(n * 0.3 * 0.7)
@@ -188,7 +190,7 @@ class TestDropout:
 
     def test_survivors_scaled(self):
         layer = Dropout(0.5, layer_id=1)
-        y = layer.forward(np.ones((1, 10, 10)), train=True, step=0)
+        y = layer.forward(np.ones((1, 10, 10)), TRAIN)
         kept = y[y != 0]
         assert np.allclose(kept, 2.0)
 
@@ -197,8 +199,7 @@ class TestDropout:
 
         def mask(seed, layer_id, step):
             layer = Dropout(0.5, layer_id=layer_id)
-            layer.seed = seed
-            return layer.forward(x, train=True, step=step)
+            return layer.forward(x, (seed, step))
 
         assert np.array_equal(mask(1, 1, 5), mask(1, 1, 5))
         assert not np.array_equal(mask(1, 1, 5), mask(1, 1, 6))
@@ -208,7 +209,7 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         layer = Dropout(0.4, layer_id=3)
         x = rng64(7).normal(size=(2, 5, 5))
-        y = layer.forward(x, train=True, step=1)
+        y = layer.forward(x, (0, 1))
         dy = np.ones_like(y)
         dx = layer.backward(dy)
         assert np.array_equal(dx == 0, y == 0)
@@ -447,6 +448,70 @@ class TestModel:
         with pytest.raises(ShapeMismatchError):
             model.load_arrays({"bogus": np.zeros(1)})
 
+    def test_load_arrays_rejects_a_short_running_mean(self):
+        model = TranscriptionModel(self.SMALL)
+        buffers = model.buffers()
+        buffers["conv1_bn.running_mean"] = np.zeros(1, np.float32)
+        with pytest.raises(ShapeMismatchError, match="conv1_bn.running_mean"):
+            model.load_arrays(model.parameters(), buffers)
+
+    def test_load_arrays_rejects_a_missing_running_var(self):
+        model = TranscriptionModel(self.SMALL)
+        buffers = model.buffers()
+        del buffers["lstm2_bn.running_var"]
+        with pytest.raises(ShapeMismatchError, match="lstm2_bn.running_var"):
+            model.load_arrays(model.parameters(), buffers)
+
+    def test_load_arrays_without_buffers_keeps_running_stats(self):
+        model = TranscriptionModel(self.SMALL)
+        model.buffers()["conv1_bn.running_var"][:] = 3.0
+        model.load_arrays(model.parameters())
+        assert np.all(model.buffers()["conv1_bn.running_var"] == 3.0)
+
+    def test_train_forward_is_the_layer_stack_with_the_dropout_key(self):
+        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
+                             lstm_dropout=0.5)
+        model = TranscriptionModel(config, rng=rng64(68))
+        twin = TranscriptionModel(config, rng=rng64(68))
+        model.dropout_seed = 7
+        x = rng64(69).normal(size=(2, 7, 6)).astype(np.float32)
+        h = x
+        for _, layer in twin._layers:
+            h = layer.forward(h, (7, 3))
+        assert np.array_equal(model.forward(x, train=True, step=3), h)
+        for key, value in model.buffers().items():
+            assert np.array_equal(value, twin.buffers()[key]), key
+
+
+class TestLayerProtocol:
+    CONFIG = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8)
+
+    def test_every_forward_takes_x_and_ctx(self):
+        model = TranscriptionModel(self.CONFIG)
+        classes = {type(layer) for _, layer in model._layers} | {LSTM}
+        assert len(classes) == 7
+        for cls in classes:
+            params = list(inspect.signature(cls.forward).parameters.values())
+            assert [p.name for p in params] == ["self", "x", "ctx"], cls
+            assert params[2].default is None, cls
+
+    def test_dicts_belong_to_the_instance(self):
+        model = TranscriptionModel(self.CONFIG)
+        twin = TranscriptionModel(self.CONFIG)
+        for (name, layer), (_, other) in zip(model._layers, twin._layers):
+            for attr in ("params", "grads", "buffers"):
+                assert getattr(layer, attr) is not getattr(other, attr), name
+
+    def test_bilstm_names_its_directions(self):
+        layer = BiLSTM(3, 4, rng=rng64(14), dtype=np.float64)
+        assert set(layer.params) == {f"{d}.{k}" for d in ("fw", "bw")
+                                     for k in ("wx", "wh", "b")}
+        assert layer.params["fw.wx"] is layer.fw.params["wx"]
+        layer.forward(rng64(15).normal(size=(2, 5, 3)))
+        layer.backward(np.ones((2, 5, 8)))
+        assert set(layer.grads) == set(layer.params)
+        assert layer.grads["bw.wh"] is layer.bw.grads["wh"]
+
 
 class TestCountParams:
     def test_single_linear(self):
@@ -505,6 +570,15 @@ class TestCheckpointFile:
         assert loaded_meta == meta
         for key, value in arrays.items():
             assert np.array_equal(loaded[key], value)
+
+    def test_zero_d_array_keeps_its_rank(self, tmp_path):
+        path = tmp_path / "x.phck"
+        arrays = {"s": np.float32(2), "v": np.arange(3, dtype=np.float32)}
+        save_checkpoint(path, {}, arrays)
+        _, loaded = load_checkpoint(path)
+        assert loaded["s"].shape == ()
+        assert loaded["s"] == 2.0
+        assert loaded["v"].shape == (3,)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "x.phck"
