@@ -5,7 +5,8 @@ Phoneme-level metrics come from the deterministic alignment in
 Match, incorrect on Substitute or Delete. Insertions belong to no target
 phoneme; they are tallied separately and excluded from the confusion
 matrix, which keeps one row per target phoneme (37 predicted columns plus
-a "deleted" column).
+a "deleted" column). ``confusion_matrix`` aligns each pair once; the
+per-phoneme accuracy and error-pair tables are read off its counts.
 
 Word-level distance uses ``ipa.levenshtein`` (codepoint-weighted).
 """
@@ -16,7 +17,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +25,7 @@ from .ipa import (
     INVENTORY,
     Delete,
     Insert,
-    Match,
     PhonemeSeq,
-    Substitute,
     align,
     levenshtein,
     render_ipa,
@@ -99,20 +98,30 @@ class ConfusionMatrix:
     DELETED_COLUMN = N_PHONEMES
 
 
-def _aligned_ops(pairs: Iterable[PredictionPair]):
+def confusion_matrix(pairs: Sequence[PredictionPair]) -> ConfusionMatrix:
+    """Align each pair once and tally its ops; the other tables read this."""
+    counts = np.zeros((N_PHONEMES, N_PHONEMES + 1), dtype=np.int64)
+    inserted = np.zeros(N_PHONEMES, dtype=np.int64)
     for pair in pairs:
-        yield from align(pair.target, pair.predicted)
+        for op in align(pair.target, pair.predicted):
+            if isinstance(op, Insert):
+                inserted[op.predicted.id] += 1
+            elif isinstance(op, Delete):
+                counts[op.target.id, ConfusionMatrix.DELETED_COLUMN] += 1
+            else:  # Match or Substitute
+                counts[op.target.id, op.predicted.id] += 1
+    totals = counts.sum(axis=1, keepdims=True)
+    proportions = np.divide(counts, totals, where=totals > 0,
+                            out=np.zeros(counts.shape, dtype=np.float64))
+    return ConfusionMatrix(counts=counts, proportions=proportions,
+                           inserted=inserted)
 
 
-def phoneme_accuracy(pairs: Sequence[PredictionPair]) -> list[PhonemeAccuracyRow]:
+def phoneme_accuracy(confusion: ConfusionMatrix) -> list[PhonemeAccuracyRow]:
     """Per-phoneme correct/incorrect counts, rows sorted by rising accuracy."""
-    correct = np.zeros(N_PHONEMES, dtype=np.int64)
-    incorrect = np.zeros(N_PHONEMES, dtype=np.int64)
-    for op in _aligned_ops(pairs):
-        if isinstance(op, Match):
-            correct[op.target.id] += 1
-        elif isinstance(op, (Substitute, Delete)):
-            incorrect[op.target.id] += 1
+    # align emits Match on equal symbols: the diagonal is exactly the Matches
+    correct = np.diagonal(confusion.counts)
+    incorrect = confusion.counts.sum(axis=1) - correct
     rows = [
         PhonemeAccuracyRow(
             phoneme=INVENTORY[i].symbol,
@@ -127,32 +136,12 @@ def phoneme_accuracy(pairs: Sequence[PredictionPair]) -> list[PhonemeAccuracyRow
     return rows
 
 
-def confusion_matrix(pairs: Sequence[PredictionPair]) -> ConfusionMatrix:
-    counts = np.zeros((N_PHONEMES, N_PHONEMES + 1), dtype=np.int64)
-    inserted = np.zeros(N_PHONEMES, dtype=np.int64)
-    for op in _aligned_ops(pairs):
-        if isinstance(op, Match):
-            counts[op.target.id, op.predicted.id] += 1
-        elif isinstance(op, Substitute):
-            counts[op.target.id, op.predicted.id] += 1
-        elif isinstance(op, Delete):
-            counts[op.target.id, ConfusionMatrix.DELETED_COLUMN] += 1
-        else:
-            inserted[op.predicted.id] += 1
-    totals = counts.sum(axis=1, keepdims=True)
-    proportions = np.divide(counts, totals, where=totals > 0,
-                            out=np.zeros(counts.shape, dtype=np.float64))
-    return ConfusionMatrix(counts=counts, proportions=proportions,
-                           inserted=inserted)
-
-
-def error_pairs(pairs: Sequence[PredictionPair]) -> list[ErrorPair]:
+def error_pairs(confusion: ConfusionMatrix) -> list[ErrorPair]:
     """Substitution pairs ranked by their share of all substitution errors."""
-    counts: dict[tuple[int, int], int] = {}
-    for op in _aligned_ops(pairs):
-        if isinstance(op, Substitute):
-            key = (op.target.id, op.predicted.id)
-            counts[key] = counts.get(key, 0) + 1
+    substituted = confusion.counts[:, :N_PHONEMES].copy()
+    np.fill_diagonal(substituted, 0)
+    counts = {(int(t), int(p)): int(substituted[t, p])
+              for t, p in zip(*np.nonzero(substituted))}
     total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
@@ -239,15 +228,17 @@ class Report:
 
 
 def build_report(pairs: Sequence[PredictionPair]) -> Report:
+    confusion = confusion_matrix(pairs)
+    distance_mean, distance_std = distance_stats(pairs)
     return Report(
         exact_match_accuracy=exact_match_accuracy(pairs),
-        phoneme_accuracy=phoneme_accuracy(pairs),
-        error_pairs=error_pairs(pairs),
-        distance_mean=distance_stats(pairs)[0],
-        distance_std=distance_stats(pairs)[1],
+        phoneme_accuracy=phoneme_accuracy(confusion),
+        error_pairs=error_pairs(confusion),
+        distance_mean=distance_mean,
+        distance_std=distance_std,
         length=length_accuracy(pairs),
         suspects=suspects(pairs),
-        confusion=confusion_matrix(pairs),
+        confusion=confusion,
         sample_count=len(pairs),
     )
 

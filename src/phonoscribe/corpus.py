@@ -33,8 +33,8 @@ MEDIA_BASE_URL = "https://upload.wikimedia.org/wikipedia/commons"
 FILTER_RULES = ("language", "single_ipa", "inventory", "length", "ll_audio")
 
 
-class ManifestIoError(Exception):
-    """Manifest file unreadable (missing, or not valid UTF-8)."""
+class ManifestIoError(OSError):
+    """Corpus CSV unreadable (missing, or not valid UTF-8)."""
 
 
 class MalformedRowError(ValueError):
@@ -92,35 +92,42 @@ def _split_list(cell: str) -> list[str]:
     return [v for v in cell.split(LIST_DELIMITER) if v] if cell else []
 
 
-def parse_manifest(path: str | Path) -> list[PageRecord]:
-    """Read the manifest CSV; one PageRecord per row, IPA kept verbatim."""
+def _read_csv(path: str | Path, header: list[str]) -> list[list[str]] | None:
+    """The non-blank rows after ``header``; None for an empty file.
+
+    A file that cannot be read as UTF-8 raises ManifestIoError; a wrong
+    header or field count, or a row the CSV parser rejects, MalformedRowError.
+    """
+    rows: list[list[str]] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            rows = list(reader)
+            for row in csv.reader(f):
+                rows.append(row)
     except OSError as e:
         raise ManifestIoError(str(e)) from e
     except UnicodeDecodeError as e:
         raise ManifestIoError(f"not valid UTF-8: {e}") from e
+    except csv.Error as e:
+        raise MalformedRowError(len(rows) + 1, str(e)) from e
 
     if not rows:
-        return []
-    if rows[0] != MANIFEST_HEADER:
-        raise MalformedRowError(1, f"expected header {','.join(MANIFEST_HEADER)}")
-
-    pages = []
+        return None
+    if rows[0] != header:
+        raise MalformedRowError(1, f"expected header {','.join(header)}")
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(MANIFEST_HEADER):
+        if row and len(row) != len(header):
             raise MalformedRowError(
-                line_no, f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}"
-            )
-        word, language, ipa_cell, audio_cell = row
-        pages.append(
-            PageRecord(word, language, _split_list(ipa_cell), _split_list(audio_cell))
-        )
-    return pages
+                line_no, f"expected {len(header)} fields, got {len(row)}")
+    return [row for row in rows[1:] if row]
+
+
+def parse_manifest(path: str | Path) -> list[PageRecord]:
+    """Read the manifest CSV; one PageRecord per row, IPA kept verbatim."""
+    return [
+        PageRecord(word, language, _split_list(ipa_cell), _split_list(audio_cell))
+        for word, language, ipa_cell, audio_cell
+        in _read_csv(path, MANIFEST_HEADER) or []
+    ]
 
 
 def extract_speaker(audio_filename: str) -> str:
@@ -305,22 +312,8 @@ def write_samples_csv(path: str | Path, samples: Iterable[SampleRecord]) -> None
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRecord]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            rows = list(reader)
-    except OSError as e:
-        raise ManifestIoError(str(e)) from e
-    except UnicodeDecodeError as e:
-        raise ManifestIoError(f"not valid UTF-8: {e}") from e
-    if not rows or rows[0] != SAMPLES_HEADER:
+    rows = _read_csv(path, SAMPLES_HEADER)
+    if rows is None:
         raise MalformedRowError(1, f"expected header {','.join(SAMPLES_HEADER)}")
-    out = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(SAMPLES_HEADER):
-            raise MalformedRowError(line_no, "wrong field count")
-        word, audio, ipa_text, speaker = row
-        out.append(SampleRecord(word, audio, tokenize_ipa(ipa_text), speaker))
-    return out
+    return [SampleRecord(word, audio, tokenize_ipa(ipa_text), speaker)
+            for word, audio, ipa_text, speaker in rows]

@@ -33,6 +33,19 @@ def collect(named_layers, attr: str) -> dict[str, np.ndarray]:
             for key, value in getattr(layer, attr).items()}
 
 
+def copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
+              kind: str) -> None:
+    """Copy ``values`` into ``own`` by name; names and shapes must match."""
+    if set(values) != set(own):
+        mismatched = set(own) ^ set(values)
+        raise ShapeMismatchError(f"{kind} name mismatch: {sorted(mismatched)}")
+    for name, value in values.items():
+        if own[name].shape != value.shape:
+            raise ShapeMismatchError(
+                f"{name}: expected {own[name].shape}, got {value.shape}")
+        own[name][...] = value
+
+
 def uniform_init(rng, shape, fan_in: int, dtype) -> np.ndarray:
     """U(-k, k) with k = 1/sqrt(fan_in); zeros when no rng is given."""
     if rng is None:
@@ -132,12 +145,10 @@ class BatchNorm1d:
             mean = x.mean(axis=(0, 1))
             var = x.var(axis=(0, 1))
             m = self.momentum
-            self.buffers["running_mean"] = (
-                (1 - m) * self.buffers["running_mean"] + m * mean
-            ).astype(x.dtype)
-            self.buffers["running_var"] = (
-                (1 - m) * self.buffers["running_var"] + m * var
-            ).astype(x.dtype)
+            # In place, so the arrays buffers() handed out stay live.
+            for name, stat in (("running_mean", mean), ("running_var", var)):
+                self.buffers[name] *= 1 - m
+                self.buffers[name] += m * stat
         else:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (BatchNorm1d, Conv1d, Dropout, Linear, ReLU,
-                     ShapeMismatchError, collect)
+                     ShapeMismatchError, collect, copy_into)
 from .lstm import LSTM, BiLSTM
 
 
@@ -120,21 +120,9 @@ class TranscriptionModel:
         Names and shapes must match the model's exactly; ``buffers=None``
         leaves the running statistics as they are.
         """
-        _copy_into(self.parameters(), params, "parameter")
+        copy_into(self.parameters(), params, "parameter")
         if buffers is not None:
-            _copy_into(self.buffers(), buffers, "buffer")
-
-
-def _copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
-               kind: str) -> None:
-    if set(values) != set(own):
-        mismatched = set(own) ^ set(values)
-        raise ShapeMismatchError(f"{kind} name mismatch: {sorted(mismatched)}")
-    for name, value in values.items():
-        if own[name].shape != value.shape:
-            raise ShapeMismatchError(
-                f"{name}: expected {own[name].shape}, got {value.shape}")
-        own[name][...] = value
+            copy_into(self.buffers(), buffers, "buffer")
 
 
 def count_params(config: ModelConfig) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ShapeMismatchError
+from .layers import ShapeMismatchError, copy_into
 
 
 class AdamW:
@@ -58,7 +58,5 @@ class AdamW:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray], t: int) -> None:
+        copy_into(self.state_arrays(), arrays, "optimizer state")
         self.t = t
-        for name in self.m:
-            self.m[name][...] = arrays[f"m/{name}"]
-            self.v[name][...] = arrays[f"v/{name}"]

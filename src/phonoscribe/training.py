@@ -227,6 +227,17 @@ def _eval_pass(model, eval_batches, norm):
     return float(np.mean(losses)), correct / len(losses)
 
 
+def _metrics_through(path: Path, epoch: int) -> str:
+    """The lines of an existing ``metrics.jsonl`` for epochs up to ``epoch``."""
+    if not path.exists():
+        return ""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    try:
+        return "".join(line for line in lines if json.loads(line)["epoch"] <= epoch)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{path}: not a metrics file: {e!r}") from e
+
+
 def train_run(
     samples: Sequence[FeaturizedSample],
     config: TrainConfig,
@@ -239,7 +250,8 @@ def train_run(
     Each epoch reshuffles the train split (stream keyed on (seed, epoch)),
     then runs forward / CTC / backward / AdamW per batch and evaluates on
     the fixed eval split. When ``run_dir`` is given, writes ``config.json``,
-    one ``metrics.jsonl`` line per epoch and ``epoch_<n>.phck`` files.
+    one ``metrics.jsonl`` line per epoch and ``epoch_<n>.phck`` files; a
+    resumed run first drops the lines after its checkpoint's epoch.
     A non-finite loss aborts with a NumericError naming epoch and batch.
     """
     started = time.perf_counter()
@@ -267,8 +279,11 @@ def train_run(
         run_path.mkdir(parents=True, exist_ok=True)
         with open(run_path / "config.json", "w", encoding="utf-8") as f:
             json.dump(config.to_dict(), f, sort_keys=True, indent=2)
-        mode = "a" if resume_from is not None else "w"
-        metrics_file = open(run_path / "metrics.jsonl", mode, encoding="utf-8")
+        metrics_path = run_path / "metrics.jsonl"
+        earlier = (_metrics_through(metrics_path, start_epoch)
+                   if resume_from is not None else "")
+        metrics_file = open(metrics_path, "w", encoding="utf-8")
+        metrics_file.write(earlier)
 
     def snapshot(epoch: int) -> Checkpoint:
         return Checkpoint(

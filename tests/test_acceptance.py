@@ -315,7 +315,7 @@ TABLE5_HEAD = [
 def test_criterion_5a_phoneme_accuracy_fixture():
     pairs = [make_pair(f"ok{i}", "ŋ", "ŋ") for i in range(40)]
     pairs += [make_pair(f"bad{i}", "ŋ", "g") for i in range(17)]
-    rows = phoneme_accuracy(pairs)
+    rows = phoneme_accuracy(confusion_matrix(pairs))
     row = next(r for r in rows if r.phoneme == "ŋ")
     assert (row.correct, row.incorrect) == (40, 17)
     assert row.accuracy == pytest.approx(0.70, abs=0.005)
@@ -341,7 +341,7 @@ def test_criterion_5b_error_pair_fixture():
                   for i in range(take)]
         remaining -= take
     assert remaining == 0
-    ranked = error_pairs(pairs)
+    ranked = error_pairs(confusion_matrix(pairs))
     head = [(r.target, r.predicted) for r in ranked[:8]]
     assert head == [(t, p) for t, p, _ in TABLE5_HEAD]
     assert ranked[0].share == pytest.approx(0.1203, abs=1e-9)

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from phonoscribe.analysis import (
     suspects,
     write_report_bundle,
 )
-from phonoscribe.ipa import BY_SYMBOL, INVENTORY, tokenize_ipa
+from phonoscribe.ipa import (BY_SYMBOL, INVENTORY, Delete, Match, Substitute,
+                             align, tokenize_ipa)
 
 
 def pair(target_text, predicted_text, word="w", filename="w.wav"):
@@ -42,30 +44,30 @@ class TestPhonemeAccuracy:
         # 40 correct plus 17 wrong occurrences of ŋ -> accuracy 0.70
         pairs = [pair("ŋ", "ŋ") for _ in range(40)]
         pairs += [pair("ŋ", "g") for _ in range(17)]
-        rows = phoneme_accuracy(pairs)
+        rows = phoneme_accuracy(confusion_matrix(pairs))
         row = next(r for r in rows if r.phoneme == "ŋ")
         assert (row.correct, row.incorrect) == (40, 17)
         assert row.accuracy == pytest.approx(0.70, abs=0.005)
 
     def test_all_exact_pairs_give_ones(self):
         pairs = [pair("bɔ̃ʒuʁ", "bɔ̃ʒuʁ"), pair("wi", "wi")]
-        rows = phoneme_accuracy(pairs)
+        rows = phoneme_accuracy(confusion_matrix(pairs))
         assert rows
         assert all(r.accuracy == 1.0 for r in rows)
 
     def test_forced_substitution(self):
-        rows = phoneme_accuracy([pair("o", "ɔ")])
+        rows = phoneme_accuracy(confusion_matrix([pair("o", "ɔ")]))
         row = next(r for r in rows if r.phoneme == "o")
         assert (row.correct, row.incorrect) == (0, 1)
 
     def test_insertions_touch_no_target_row(self):
-        rows = phoneme_accuracy([pair("a", "ab")])
+        rows = phoneme_accuracy(confusion_matrix([pair("a", "ab")]))
         assert {r.phoneme for r in rows} == {"a"}
 
     def test_sorted_by_rising_accuracy(self):
         pairs = [pair("a", "a"), pair("o", "ɔ"), pair("u", "u"),
                  pair("u", "u"), pair("u", "y")]
-        rows = phoneme_accuracy(pairs)
+        rows = phoneme_accuracy(confusion_matrix(pairs))
         accuracies = [r.accuracy for r in rows]
         assert accuracies == sorted(accuracies)
 
@@ -121,7 +123,7 @@ class TestConfusionMatrix:
 
 class TestErrorPairs:
     def test_single_substitution_is_everything(self):
-        ranked = error_pairs([pair("o", "ɔ")])
+        ranked = error_pairs(confusion_matrix([pair("o", "ɔ")]))
         assert len(ranked) == 1
         assert ranked[0].target == "o"
         assert ranked[0].predicted == "ɔ"
@@ -130,18 +132,46 @@ class TestErrorPairs:
     def test_shares_sum_to_one(self):
         pairs = [pair("o", "ɔ"), pair("e", "ɛ"), pair("e", "ɛ"),
                  pair("a", "ɑ")]
-        ranked = error_pairs(pairs)
+        ranked = error_pairs(confusion_matrix(pairs))
         assert sum(r.share for r in ranked) == pytest.approx(1.0, abs=1e-9)
 
     def test_ranked_descending(self):
         pairs = [pair("e", "ɛ")] * 3 + [pair("o", "ɔ")] * 5 + [pair("a", "ɑ")]
-        ranked = error_pairs(pairs)
+        ranked = error_pairs(confusion_matrix(pairs))
         assert [(r.target, r.predicted) for r in ranked[:2]] == [
             ("o", "ɔ"), ("e", "ɛ")
         ]
 
     def test_deletions_not_counted(self):
-        assert error_pairs([pair("ab", "a")]) == []
+        assert error_pairs(confusion_matrix([pair("ab", "a")])) == []
+
+
+class TestTablesFromConfusion:
+    def test_match_the_per_op_reference_on_random_pairs(self):
+        # reference: tally the edit ops of each pair directly
+        rng = random.Random(11)
+        pairs = []
+        for _ in range(300):
+            alphabet = INVENTORY[:rng.randrange(2, 8)]
+            t = [rng.choice(alphabet) for _ in range(rng.randrange(0, 8))]
+            p = [rng.choice(alphabet) for _ in range(rng.randrange(0, 8))]
+            pairs.append(PredictionPair.build("w", "w.wav", t, p))
+        correct, incorrect, substituted = Counter(), Counter(), Counter()
+        for p in pairs:
+            for op in align(p.target, p.predicted):
+                if isinstance(op, Match):
+                    correct[op.target.symbol] += 1
+                elif isinstance(op, (Substitute, Delete)):
+                    incorrect[op.target.symbol] += 1
+                if isinstance(op, Substitute):
+                    substituted[op.target.symbol, op.predicted.symbol] += 1
+        cm = confusion_matrix(pairs)
+        rows = {r.phoneme: (r.correct, r.incorrect) for r in phoneme_accuracy(cm)}
+        assert rows == {s: (correct[s], incorrect[s]) for s in correct | incorrect}
+        ranked = error_pairs(cm)
+        assert {(r.target, r.predicted): r.count for r in ranked} == substituted
+        assert [r.count for r in ranked] == sorted(substituted.values(),
+                                                   reverse=True)
 
 
 class TestDistanceStats:

@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -50,6 +53,15 @@ class TestFilterCommand:
         assert run(["filter", "--manifest", manifest, "--out", out]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rejected_by_rule"]["language"] == 1
+
+    def test_oversized_field_exits_two(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        write_manifest(manifest, ["x" * (csv.field_size_limit() + 1) + ",fra,a,b"])
+        assert run(["filter", "--manifest", manifest,
+                    "--out", tmp_path / "kept.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("manifest error: line 2: ")
 
     def test_parse_failure_exits_two(self, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -300,6 +312,54 @@ class TestTrainCommand:
                              "--resume", halves / "epoch_1.phck"]) == 0
         assert (straight / "epoch_2.phck").read_bytes() == \
             (halves / "epoch_2.phck").read_bytes()
+
+    def test_resume_into_longer_run_keeps_each_epoch_once(self, tmp_path):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path), "--epochs", 3]
+        straight = tmp_path / "straight"
+        assert run(common + ["--run-dir", straight]) == 0
+        resumed = tmp_path / "resumed"
+        shutil.copytree(straight, resumed)
+        assert run(common + ["--run-dir", resumed,
+                             "--resume", resumed / "epoch_1.phck"]) == 0
+        assert (resumed / "metrics.jsonl").read_bytes() == \
+            (straight / "metrics.jsonl").read_bytes()
+
+    def test_resume_over_foreign_metrics_exits_one(self, tmp_path, capsys):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path),
+                  "--run-dir", tmp_path / "run"]
+        assert run(common) == 0
+        (tmp_path / "run" / "metrics.jsonl").write_text('{"step": 1}\n')
+        capsys.readouterr()
+        assert run(common + ["--epochs", 2, "--resume",
+                             tmp_path / "run" / "epoch_1.phck"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "metrics.jsonl: not a metrics file" in err
+
+    @pytest.mark.parametrize("edit", ["missing", "short"])
+    def test_bad_optimizer_state_exits_one(self, tmp_path, capsys, edit):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path),
+                  "--run-dir", tmp_path / "run"]
+        assert run(common) == 0
+        checkpoint = Checkpoint.load(tmp_path / "run" / "epoch_1.phck")
+        optimizer = dict(checkpoint.optimizer)
+        if edit == "missing":
+            del optimizer["m/out.b"]
+        else:
+            optimizer["m/out.b"] = np.zeros(1, np.float32)
+        path = tmp_path / "bad.phck"
+        dataclasses.replace(checkpoint, optimizer=optimizer).save(path)
+        capsys.readouterr()
+        assert run(common + ["--epochs", 2, "--resume", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "m/out.b" in err
 
     @pytest.mark.parametrize("block", ["train", "model", "norm", "features"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, block):
@@ -588,6 +648,40 @@ class TestInventoryCommand:
         assert len(lines) == 37
         assert lines[0] == "0\ti\tU+0069"
         assert lines[14].startswith("14\tɔ̃\tU+0254 U+0303")
+
+
+def samples_command(command, tmp_path, samples):
+    if command == "fetch":
+        return ["fetch", "--samples", samples, "--cache", tmp_path / "cache"]
+    if command == "featurize":
+        return ["featurize", "--samples", samples, "--cache", tmp_path,
+                "--out", tmp_path / "features"]
+    if command == "train":
+        return ["train", "--samples", samples, "--features", tmp_path,
+                "--run-dir", tmp_path / "run",
+                "--config", tiny_config_file(tmp_path)]
+    return ["eval", "--samples", samples, "--features", tmp_path,
+            "--checkpoint", zero_checkpoint(tmp_path),
+            "--report-dir", tmp_path / "report"]
+
+
+class TestBadSamplesCsv:
+    @pytest.mark.parametrize("command", ["fetch", "featurize", "train", "eval"])
+    @pytest.mark.parametrize("defect", ["missing", "not-utf8", "oversized-field"])
+    def test_exits_one_with_one_line(self, tmp_path, capsys, command, defect):
+        samples = tmp_path / "samples.csv"
+        header = b"word,audio,ipa,speaker\n"
+        if defect == "not-utf8":
+            samples.write_bytes(header + b"\xff\xfe,a.wav,wi,A\n")
+        elif defect == "oversized-field":
+            field = b"x" * (csv.field_size_limit() + 1)
+            samples.write_bytes(header + field + b",a.wav,wi,A\n")
+        assert run(samples_command(command, tmp_path, samples)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        if defect == "oversized-field":
+            assert err.startswith("error: line 2: ")
 
 
 class TestUsageErrors:

@@ -1,6 +1,9 @@
+import csv
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phonoscribe.corpus import (
     ChecksumMismatchError,
@@ -18,7 +21,7 @@ from phonoscribe.corpus import (
     resolve_media_url,
     write_samples_csv,
 )
-from phonoscribe.ipa import render_ipa
+from phonoscribe.ipa import UnknownSymbolError, render_ipa
 
 BONJOUR_AUDIO = "LL-Q150 (fra)-LoquaxFR-bonjour.wav"
 # Recorded once from the media store's hash-prefixed path convention.
@@ -326,3 +329,49 @@ class TestSamplesCsv:
         csv_path.write_text("nope\n", encoding="utf-8")
         with pytest.raises(MalformedRowError):
             read_samples_csv(csv_path)
+
+
+class TestCsvReaders:
+    @pytest.mark.parametrize("reader, header", [
+        (parse_manifest, "word,language,ipa_list,audio_list"),
+        (read_samples_csv, "word,audio,ipa,speaker"),
+    ], ids=["manifest", "samples"])
+    def test_oversized_field_reports_line(self, tmp_path, reader, header):
+        path = tmp_path / "x.csv"
+        field = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"{header}\n{field},a,b,c\n", encoding="utf-8")
+        with pytest.raises(MalformedRowError) as err:
+            reader(path)
+        assert err.value.line_no == 2
+
+    def test_missing_samples_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            read_samples_csv(tmp_path / "absent.csv")
+
+    def test_empty_samples_file_is_a_header_error(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(MalformedRowError) as err:
+            read_samples_csv(path)
+        assert err.value.line_no == 1
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        reader=st.sampled_from([parse_manifest, read_samples_csv]),
+        head=st.sampled_from([b"", b"word,language,ipa_list,audio_list\n",
+                              b"word,audio,ipa,speaker\n"]),
+        body=st.one_of(
+            st.binary(max_size=80),
+            st.text(alphabet='ab,"|\r\n\x00ɔ̃ʁé', max_size=80)
+            .map(lambda text: text.encode("utf-8")),
+        ),
+    )
+    def test_arbitrary_bytes_parse_or_are_rejected(self, tmp_path, reader,
+                                                   head, body):
+        path = tmp_path / "x.csv"
+        path.write_bytes(head + body)
+        try:
+            reader(path)
+        except (ManifestIoError, MalformedRowError, UnknownSymbolError):
+            pass

@@ -159,6 +159,15 @@ class TestBatchNorm:
         # each step closes the gap by the momentum factor
         assert gaps[10] == pytest.approx(gaps[9] * 0.9, rel=1e-6)
 
+    def test_running_stats_update_in_place(self):
+        layer = BatchNorm1d(2)
+        held = dict(layer.buffers)
+        x = rng64(5).normal(loc=3.0, size=(2, 4, 2)).astype(np.float32)
+        layer.forward(x, TRAIN)
+        for name, array in held.items():
+            assert layer.buffers[name] is array, name
+        assert np.all(held["running_mean"] > 0)
+
     def test_eval_uses_running_stats(self):
         layer = BatchNorm1d(1, dtype=np.float64)
         layer.buffers["running_mean"][:] = 2.0
@@ -395,6 +404,18 @@ class TestAdamW:
         assert fresh.t == 1
         assert np.array_equal(fresh.m["w"], opt.m["w"])
         assert np.array_equal(fresh.v["w"], opt.v["w"])
+
+
+    @pytest.mark.parametrize("edit", ["missing", "short"])
+    def test_load_state_checks_names_and_shapes(self, edit):
+        p = {"w": np.ones(3, dtype=np.float32)}
+        saved = {k: v.copy() for k, v in AdamW(p).state_arrays().items()}
+        if edit == "missing":
+            del saved["v/w"]
+        else:
+            saved["v/w"] = np.zeros(1, np.float32)
+        with pytest.raises(ShapeMismatchError, match="v/w"):
+            AdamW(p).load_state(saved, 1)
 
 
 class TestModel:
