@@ -206,10 +206,29 @@ def cmd_infer(args) -> int:
     return EXIT_FAILURE if failed else EXIT_OK
 
 
-def cmd_suspects(args) -> int:
-    with open(Path(args.report_dir) / "report.json", "r", encoding="utf-8") as f:
+SUSPECT_FIELDS = {"word": str, "target_ipa": str, "predicted_ipa": str,
+                  "distance": int}
+
+
+def _suspect_rows(path: Path) -> list[dict]:
+    """The ``suspects`` rows of a ``report.json``; anything else in their
+    place is a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as f:
         report = json.load(f)
-    rows = report["suspects"]
+    rows = report.get("suspects") if isinstance(report, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: not a report: no 'suspects' list")
+    for index, row in enumerate(rows):
+        if not (isinstance(row, dict) and all(
+                type(row.get(k)) is t for k, t in SUSPECT_FIELDS.items())):
+            raise ValueError(f"{path}: suspect {index} is not an object with "
+                             "string word, target_ipa and predicted_ipa and an "
+                             "integer distance")
+    return rows
+
+
+def cmd_suspects(args) -> int:
+    rows = _suspect_rows(Path(args.report_dir) / "report.json")
     if args.min_distance is not None:
         rows = [r for r in rows if r["distance"] >= args.min_distance]
     if args.top is not None:
@@ -225,6 +244,13 @@ def cmd_inventory(args) -> int:
         codepoints = " ".join(f"U+{ord(c):04X}" for c in p.symbol)
         print(f"{p.id}\t{p.symbol}\t{codepoints}")
     return EXIT_OK
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-dir", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--min-distance", type=int)
-    group.add_argument("--top", type=int)
+    group.add_argument("--top", type=non_negative_int)
     p.set_defaults(func=cmd_suspects)
 
     p = sub.add_parser("inventory", help="print the phoneme inventory table")

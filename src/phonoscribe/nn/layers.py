@@ -9,7 +9,9 @@ sequences shaped (batch, time, channels):
   layer_id, step)``, and every other layer ignores ``ctx``. Forward caches
   whatever backward needs.
 - ``backward(dy)`` returns the input gradient of the last forward and
-  overwrites ``grads``; one optimizer step per backward.
+  overwrites ``grads``; one optimizer step per backward. It consumes the
+  forward cache, so each activation is freed once its backward has read
+  it, and a second backward needs a new forward.
 - ``params``, ``grads`` (same keys, filled by backward) and ``buffers``
   (state that is saved but not trained) are dicts of the instance.
 """
@@ -86,7 +88,7 @@ class Conv1d:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x_pad, t = self._cache
+        (x_pad, t), self._cache = self._cache, None
         w = self.params["w"]
         dw = np.empty_like(w)
         dx_pad = np.zeros_like(x_pad)
@@ -108,7 +110,8 @@ class ReLU:
         return np.maximum(x, 0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy * mask
 
 
 class BatchNorm1d:
@@ -153,25 +156,34 @@ class BatchNorm1d:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        # In-place steps below keep the operation order of the plain
+        # expressions, so the results match them bit for bit.
+        x_hat = x - mean
+        x_hat *= inv_std
         self._cache = (x_hat, inv_std, train)
-        return self.params["gamma"] * x_hat + self.params["beta"]
+        y = self.params["gamma"] * x_hat
+        y += self.params["beta"]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, train = self._cache
+        (x_hat, inv_std, train), self._cache = self._cache, None
         gamma = self.params["gamma"]
         self.grads = {
             "gamma": (dy * x_hat).sum(axis=(0, 1)),
             "beta": dy.sum(axis=(0, 1)),
         }
-        dx_hat = dy * gamma
-        if not train:
-            return dx_hat * inv_std
-        n = dy.shape[0] * dy.shape[1]
-        # Standard batch-norm gradient through the batch statistics.
-        term_mean = dx_hat.sum(axis=(0, 1)) / n
-        term_proj = (dx_hat * x_hat).sum(axis=(0, 1)) / n
-        return inv_std * (dx_hat - term_mean - x_hat * term_proj)
+        dx = dy * gamma
+        if train:
+            # Standard batch-norm gradient through the batch statistics:
+            # inv_std * (dx_hat - term_mean - x_hat * term_proj).
+            n = dy.shape[0] * dy.shape[1]
+            term_mean = dx.sum(axis=(0, 1)) / n
+            term_proj = (dx * x_hat).sum(axis=(0, 1)) / n
+            x_hat *= term_proj
+            dx -= term_mean
+            dx -= x_hat
+        dx *= inv_std
+        return dx
 
 
 class Dropout:
@@ -200,14 +212,25 @@ class Dropout:
             dtype=np.uint64,
         )
         gen = np.random.Generator(np.random.Philox(key=key))
-        keep = gen.random(x.shape) >= self.p
-        self._mask = keep.astype(x.dtype) / (1.0 - self.p)
-        return x * self._mask
+        # Drawn one batch row at a time: the same stream as one
+        # gen.random(x.shape) call, without its float64 array.
+        keep = np.empty(x.shape, dtype=bool)
+        for keep_row in keep:
+            np.greater_equal(gen.random(keep_row.shape), self.p, out=keep_row)
+        # The mask is (keep, 1/(1-p) in x's dtype): a * keep * scale equals
+        # a * (keep * scale) bit for bit, without a float mask array.
+        self._mask = (keep, np.ones(1, x.dtype) / (1.0 - self.p))
+        return _masked(x, *self._mask)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy if mask is None else _masked(dy, *mask)
+
+
+def _masked(a: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    out = a * keep
+    out *= scale
+    return out
 
 
 class Linear:
@@ -232,7 +255,7 @@ class Linear:
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
+        x, self._x = self._x, None
         self.grads = {
             "w": x.reshape(-1, self.in_features).T @ dy.reshape(-1, self.out_features),
             "b": dy.sum(axis=(0, 1)),

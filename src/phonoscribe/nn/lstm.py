@@ -49,7 +49,9 @@ class LSTM:
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeMismatchError(
                 f"expected (B, T, {self.input_size}), got {x.shape}")
-        hidden = self._run(x.transpose(1, 0, 2)[::self._time_step])
+        # No copy when x is a (B, T, C) view of time-major memory, as
+        # BiLSTM passes it.
+        hidden = self._run(np.ascontiguousarray(x.transpose(1, 0, 2)))
         return hidden[::self._time_step].transpose(1, 0, 2)
 
     def backward(self, dh: np.ndarray) -> np.ndarray:
@@ -57,6 +59,7 @@ class LSTM:
         return dx[::self._time_step].transpose(1, 0, 2)
 
     def _run(self, x: np.ndarray) -> np.ndarray:
+        """Time-major x in its own time order -> hidden in processing order."""
         t_len, b_sz, _ = x.shape
         hs = self.hidden_size
         wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
@@ -65,15 +68,17 @@ class LSTM:
         half[2 * hs:3 * hs] = 1.0
         shift = 1.0 - half
 
-        x = np.ascontiguousarray(x)
-        gates = (x.reshape(-1, self.input_size) @ wx).reshape(t_len, b_sz, 4 * hs)
+        # For bw the rows in processing order are a copy that lives only
+        # through the GEMM.
+        gates = x[::self._time_step].reshape(-1, self.input_size) @ wx
+        gates = gates.reshape(t_len, b_sz, 4 * hs)
         gates += bias
         gates *= half
         wh_half = wh * half
         gates4 = gates.reshape(t_len, b_sz, 4, hs)
         cells = np.empty((t_len, b_sz, hs), dtype=x.dtype)
-        tanh_c = np.empty_like(cells)
         hidden = np.empty_like(cells)
+        tanh_c = np.empty((b_sz, hs), dtype=x.dtype)  # backward recomputes it
 
         h_prev = c_prev = np.zeros((b_sz, hs), dtype=x.dtype)
         for t in range(t_len):
@@ -86,16 +91,17 @@ class LSTM:
             c = cells[t]
             np.multiply(f, c_prev, out=c)
             c += i * g
-            np.tanh(c, out=tanh_c[t])
-            np.multiply(o, tanh_c[t], out=hidden[t])
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=hidden[t])
             h_prev, c_prev = hidden[t], c
 
-        self._cache = (x, gates, cells, tanh_c, hidden)
+        self._cache = (x, gates, cells, hidden)
         return hidden
 
     def _run_backward(self, dh_out: np.ndarray) -> np.ndarray:
-        x, gates, cells, tanh_c, hidden = self._cache
+        (x, gates, cells, hidden), self._cache = self._cache, None
         t_len, b_sz, _ = x.shape
+        tanh_c = np.tanh(cells)
         hs = self.hidden_size
         i, f, g, o = gates.reshape(t_len, b_sz, 4, hs).transpose(2, 0, 1, 3)
 
@@ -124,10 +130,11 @@ class LSTM:
             d_ifg[t] *= dc[:, None]
             dh_next = d_pre[t] @ wh_t
             dc *= f[t]
+        del gates, i, f, g, o, cells, tanh_c, dc_from_dh  # free before the GEMMs
 
         flat_da = d_pre.reshape(-1, 4 * hs)
         self.grads = {
-            "wx": x.reshape(-1, self.input_size).T @ flat_da,
+            "wx": x[::self._time_step].reshape(-1, self.input_size).T @ flat_da,
             "wh": hidden[:-1].reshape(-1, hs).T @ d_pre[1:].reshape(-1, 4 * hs),
             "b": flat_da.sum(axis=0),
         }
@@ -147,6 +154,8 @@ class BiLSTM:
         self.buffers = {}
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
+        # One time-major copy of x, read by both directions.
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
         return np.concatenate([self.fw.forward(x), self.bw.forward(x)], axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

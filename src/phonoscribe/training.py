@@ -34,8 +34,8 @@ class NumericError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config file or block is not a JSON object, or names a field its
-    settings class does not have."""
+    """A config file or block is not a JSON object, names a field its
+    settings class does not have, or does not match a resumed checkpoint."""
 
 
 def require_object(value, what: str) -> dict:
@@ -227,6 +227,20 @@ def _eval_pass(model, eval_batches, norm):
     return float(np.mean(losses)), correct / len(losses)
 
 
+def _check_resumable(saved: TrainConfig, config: TrainConfig) -> None:
+    """A ConfigError naming the first of ``seed``, ``batch_size`` and the
+    model fields on which a checkpoint's config and the resuming run's
+    differ: a resumed run must replay the run the checkpoint came from."""
+    compared = [(name, getattr(saved, name), getattr(config, name))
+                for name in ("seed", "batch_size")]
+    compared += [(f"model.{f.name}", getattr(saved.model, f.name),
+                  getattr(config.model, f.name)) for f in fields(ModelConfig)]
+    for name, was, now in compared:
+        if was != now:
+            raise ConfigError(f"cannot resume: the checkpoint has {name} "
+                              f"{was!r}, the config {now!r}")
+
+
 def _metrics_through(path: Path, epoch: int) -> str:
     """The lines of an existing ``metrics.jsonl`` for epochs up to ``epoch``."""
     if not path.exists():
@@ -252,6 +266,9 @@ def train_run(
     the fixed eval split. When ``run_dir`` is given, writes ``config.json``,
     one ``metrics.jsonl`` line per epoch and ``epoch_<n>.phck`` files; a
     resumed run first drops the lines after its checkpoint's epoch.
+    ``resume_from`` is only read, and must match ``config`` in seed, batch
+    size and model (a ConfigError otherwise). The returned checkpoint
+    holds the trained model's own arrays, not copies.
     A non-finite loss aborts with a NumericError naming epoch and batch.
     """
     started = time.perf_counter()
@@ -266,6 +283,7 @@ def train_run(
     start_epoch = 0
     step = 0
     if resume_from is not None:
+        _check_resumable(resume_from.config, config)
         model.load_arrays(resume_from.params, resume_from.buffers)
         if resume_from.optimizer is not None:
             optimizer.load_state(resume_from.optimizer, resume_from.optimizer_t)
@@ -285,19 +303,14 @@ def train_run(
         metrics_file = open(metrics_path, "w", encoding="utf-8")
         metrics_file.write(earlier)
 
-    def snapshot(epoch: int) -> Checkpoint:
-        return Checkpoint(
-            config=config,
-            params={k: v.copy() for k, v in model.parameters().items()},
-            buffers={k: v.copy() for k, v in model.buffers().items()},
-            optimizer={k: v.copy() for k, v in optimizer.state_arrays().items()},
-            optimizer_t=optimizer.t,
-            epoch=epoch,
-            step=step,
-        )
+    def live_checkpoint(epoch: int) -> Checkpoint:
+        """The model's and optimizer's own arrays, not copies: valid until
+        the next step, and returned as they are once training stops."""
+        return Checkpoint(config, model.parameters(), model.buffers(),
+                          optimizer.state_arrays(), optimizer.t, epoch, step)
 
     metrics = RunMetrics()
-    checkpoint = snapshot(start_epoch)
+    checkpoint = live_checkpoint(start_epoch)
     if run_path is not None and config.epochs == 0:
         checkpoint.save(run_path / "epoch_0.phck")
 
@@ -332,7 +345,7 @@ def train_run(
                 eval_accuracy=eval_accuracy,
             )
             metrics.epochs.append(entry)
-            checkpoint = snapshot(epoch + 1)
+            checkpoint = live_checkpoint(epoch + 1)
             if run_path is not None:
                 checkpoint.save(run_path / f"epoch_{epoch + 1}.phck")
                 metrics_file.write(entry.to_json_line() + "\n")

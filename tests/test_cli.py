@@ -361,6 +361,30 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "m/out.b" in err
 
+    @pytest.mark.parametrize("block, key, value, field", [
+        ("train", "seed", 6, "seed"),
+        ("train", "batch_size", 1, "batch_size"),
+        ("model", "lstm_units", 6, "model.lstm_units"),
+    ])
+    def test_resume_from_another_run_exits_two(self, tmp_path, capsys, block,
+                                               key, value, field):
+        samples, features = featurized_fixture(tmp_path)
+        config = tiny_config_file(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--run-dir", tmp_path / "run"]
+        assert run(common + ["--config", config]) == 0
+        other = json.loads(config.read_text())
+        other[block][key] = value
+        config.write_text(json.dumps(other))
+        metrics = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run(common + ["--config", config, "--epochs", 2, "--resume",
+                             tmp_path / "run" / "epoch_1.phck"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"has {field} " in err
+        assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics
+
     @pytest.mark.parametrize("block", ["train", "model", "norm", "features"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, block):
         samples, features = featurized_fixture(tmp_path)
@@ -594,6 +618,31 @@ class TestSuspectsCommand:
         assert run(["suspects", "--report-dir", report_dir,
                     "--min-distance", 0]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_negative_top_is_a_usage_error(self, tmp_path, capsys):
+        rows = [{"word": f"w{i}", "target_ipa": "a", "predicted_ipa": "b",
+                 "distance": 2 - i} for i in range(2)]
+        report_dir = self.write_report(tmp_path, rows)
+        with pytest.raises(SystemExit) as err:
+            run(["suspects", "--report-dir", report_dir, "--top", -1])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("report", [
+        {}, [1], {"suspects": 3}, {"suspects": [1]},
+        {"suspects": [{"word": "w", "target_ipa": "a", "predicted_ipa": "b"}]},
+        {"suspects": [{"word": "w", "target_ipa": "a", "predicted_ipa": "b",
+                       "distance": "2"}]},
+    ])
+    def test_malformed_report_exits_one(self, tmp_path, capsys, report):
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        (report_dir / "report.json").write_text(json.dumps(report))
+        assert run(["suspects", "--report-dir", report_dir,
+                    "--min-distance", 1]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "report.json" in err
 
     def test_empty_report_exits_zero(self, tmp_path, capsys):
         report_dir = self.write_report(tmp_path, [])

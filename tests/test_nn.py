@@ -1,5 +1,6 @@
 import inspect
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,17 @@ class TestDropout:
         dy = np.ones_like(y)
         dx = layer.backward(dy)
         assert np.array_equal(dx == 0, y == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_products_equal_the_float_mask(self, dtype):
+        # The bool mask scales exactly as keep.astype(dtype) / (1 - p) does.
+        layer = Dropout(0.3, layer_id=4)
+        x = rng64(8).normal(size=(3, 20, 10)).astype(dtype)
+        y = layer.forward(x, TRAIN)
+        mask = (y != 0).astype(dtype) / (1.0 - 0.3)
+        assert np.array_equal(y, x * mask)
+        dy = rng64(9).normal(size=x.shape).astype(dtype)
+        assert np.array_equal(layer.backward(dy), dy * mask)
 
 
 class TestLinear:
@@ -502,6 +514,35 @@ class TestModel:
         assert np.array_equal(model.forward(x, train=True, step=3), h)
         for key, value in model.buffers().items():
             assert np.array_equal(value, twin.buffers()[key]), key
+
+    def test_train_step_frees_its_activations(self):
+        # Of the arrays one train step allocates, only the gradients
+        # outlive it: each backward frees its layer's forward cache.
+        config = ModelConfig(mfcc_coefficients=8, conv_units=8, lstm_units=8,
+                             lstm_dropout=0.3)
+        model = TranscriptionModel(config, rng=rng64(70))
+        optimizer = AdamW(model.parameters())
+        x = rng64(71).normal(size=(4, 200, 8)).astype(np.float32)
+
+        def array_bytes():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            return sum(trace.size for trace in snapshot.traces)
+
+        tracemalloc.start()
+        try:
+            before = array_bytes()
+            logits = model.forward(x, train=True, step=0)
+            activations = array_bytes() - before
+            model.backward(np.ones_like(logits))
+            del logits
+            optimizer.step(model.gradients())
+            held = array_bytes() - before
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(g.nbytes for g in model.gradients().values())
+        assert activations > 50 * grad_bytes
+        assert held <= grad_bytes
 
 
 class TestLayerProtocol:

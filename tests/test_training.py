@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
                             save_checkpoint)
 from phonoscribe.training import (
     Checkpoint,
+    ConfigError,
     FeaturizedSample,
     InsufficientSamplesError,
     NumericError,
@@ -177,6 +179,46 @@ class TestTrainRun:
             assert np.array_equal(value, resumed.params[name]), name
         for name, value in straight.buffers.items():
             assert np.array_equal(value, resumed.buffers[name]), name
+
+    @pytest.mark.parametrize("overrides", [
+        {"epochs": 2}, {"epochs": 0},
+        {"epochs": 50, "stop_at_eval_accuracy": 0.0}])
+    def test_returned_checkpoint_is_the_last_one_written(self, tmp_path,
+                                                         overrides):
+        # The returned checkpoint holds the model's own arrays, so nothing
+        # may touch them after the last epoch file is written.
+        model = ModelConfig(mfcc_coefficients=8, conv_units=8, lstm_units=8,
+                            lstm_dropout=0.3)
+        config = tiny_config(model=model, **overrides)
+        checkpoint, metrics = train_run(toy_samples(12), config,
+                                        run_dir=tmp_path / "run")
+        checkpoint.save(tmp_path / "returned.phck")
+        last = tmp_path / "run" / f"epoch_{len(metrics.epochs)}.phck"
+        assert (tmp_path / "returned.phck").read_bytes() == last.read_bytes()
+
+    def test_resume_leaves_its_checkpoint_unchanged(self):
+        samples = toy_samples(12)
+        # A returned checkpoint's arrays are writable, unlike loaded ones.
+        first, _ = train_run(samples, tiny_config(epochs=1))
+        sections = (first.params, first.buffers, first.optimizer)
+        before = [{k: v.copy() for k, v in arrays.items()} for arrays in sections]
+        train_run(samples, tiny_config(epochs=3), resume_from=first)
+        for arrays, saved in zip(sections, before):
+            for name, value in saved.items():
+                assert np.array_equal(arrays[name], value), name
+
+    @pytest.mark.parametrize("change, field", [
+        ({"seed": 4}, "seed"),
+        ({"batch_size": 2}, "batch_size"),
+        ({"model": dataclasses.replace(TINY_MODEL, lstm_units=6)},
+         "model.lstm_units"),
+    ])
+    def test_resume_rejects_another_runs_checkpoint(self, change, field):
+        samples = toy_samples(12)
+        first, _ = train_run(samples, tiny_config(epochs=1))
+        with pytest.raises(ConfigError, match=f"has {field} "):
+            train_run(samples, tiny_config(epochs=2, **change),
+                      resume_from=first)
 
     def test_identical_seeds_identical_artifacts(self, tmp_path):
         samples = toy_samples(12)
