@@ -8,12 +8,25 @@ ag, ao):
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-h_0 = c_0 = 0. The input projection for all timesteps is computed as one
-matrix product; the recurrent loop only adds h_{t-1} @ wh, then takes one
-tanh over all four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). The
-work runs time-major, (T, B, ...) in processing order, and backward hoists
-out of the loop every factor the forward pass fixes (Appleyard et al.,
-arXiv:1604.01946).
+h_0 = c_0 = 0. ``LSTM`` and ``BiLSTM`` share one recurrence kernel,
+``_run`` and ``_run_backward``, that advances D directions at once (D=1
+or 2); a reversed direction's processing step s is time T-1-s. Each step
+issues its recurrent GEMMs, gate and cell ops once for all directions.
+The cached gates and hidden states are direction-major, (D, T, B, ...), so
+each direction's block is the matrix its projection and weight-gradient
+GEMMs use, with no copy; the cell state and the backward factors are
+step-major, (T, D, B, H), and a step's gates are worked out in one
+contiguous (D, B, 4H) buffer.
+
+The input projection for all timesteps is one matrix product per
+direction; the loop only adds h_{t-1} @ wh, then takes one tanh over all
+four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)), with the halving
+folded exactly into wx, wh and b. Backward hoists out of the loop every
+factor the forward pass fixes and turns the cached gates into the gate
+gradients in place (Appleyard et al., arXiv:1604.01946). Every element
+sees the operations of a run of its direction alone, in the same order, so
+a BiLSTM equals a standalone ``LSTM`` and ``LSTM(reverse=True)`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -21,6 +34,11 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import ShapeMismatchError, collect, uniform_init
+
+
+def _check_input(x: np.ndarray, input_size: int) -> None:
+    if x.ndim != 3 or x.shape[2] != input_size:
+        raise ShapeMismatchError(f"expected (B, T, {input_size}), got {x.shape}")
 
 
 class LSTM:
@@ -46,105 +64,19 @@ class LSTM:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.input_size:
-            raise ShapeMismatchError(
-                f"expected (B, T, {self.input_size}), got {x.shape}")
-        # No copy when x is a (B, T, C) view of time-major memory, as
-        # BiLSTM passes it.
-        hidden = self._run(np.ascontiguousarray(x.transpose(1, 0, 2)))
-        return hidden[::self._time_step].transpose(1, 0, 2)
+        _check_input(x, self.input_size)
+        hidden = _run(self, (self,), np.ascontiguousarray(x.transpose(1, 0, 2)))
+        return hidden[0, ::self._time_step].transpose(1, 0, 2)
 
     def backward(self, dh: np.ndarray) -> np.ndarray:
-        dx = self._run_backward(dh.transpose(1, 0, 2)[::self._time_step])
-        return dx[::self._time_step].transpose(1, 0, 2)
-
-    def _run(self, x: np.ndarray) -> np.ndarray:
-        """Time-major x in its own time order -> hidden in processing order."""
-        t_len, b_sz, _ = x.shape
-        hs = self.hidden_size
-        wx, wh, bias = self.params["wx"], self.params["wh"], self.params["b"]
-        # Halves the sigmoid columns (i, f, o) and keeps the tanh column (g).
-        half = np.full(4 * hs, 0.5, dtype=x.dtype)
-        half[2 * hs:3 * hs] = 1.0
-        shift = 1.0 - half
-
-        # For bw the rows in processing order are a copy that lives only
-        # through the GEMM.
-        gates = x[::self._time_step].reshape(-1, self.input_size) @ wx
-        gates = gates.reshape(t_len, b_sz, 4 * hs)
-        gates += bias
-        gates *= half
-        wh_half = wh * half
-        gates4 = gates.reshape(t_len, b_sz, 4, hs)
-        cells = np.empty((t_len, b_sz, hs), dtype=x.dtype)
-        hidden = np.empty_like(cells)
-        tanh_c = np.empty((b_sz, hs), dtype=x.dtype)  # backward recomputes it
-
-        h_prev = c_prev = np.zeros((b_sz, hs), dtype=x.dtype)
-        for t in range(t_len):
-            a = gates[t]
-            a += h_prev @ wh_half
-            np.tanh(a, out=a)
-            a *= half
-            a += shift
-            i, f, g, o = gates4[t].transpose(1, 0, 2)
-            c = cells[t]
-            np.multiply(f, c_prev, out=c)
-            c += i * g
-            np.tanh(c, out=tanh_c)
-            np.multiply(o, tanh_c, out=hidden[t])
-            h_prev, c_prev = hidden[t], c
-
-        self._cache = (x, gates, cells, hidden)
-        return hidden
-
-    def _run_backward(self, dh_out: np.ndarray) -> np.ndarray:
-        (x, gates, cells, hidden), self._cache = self._cache, None
-        t_len, b_sz, _ = x.shape
-        tanh_c = np.tanh(cells)
-        hs = self.hidden_size
-        i, f, g, o = gates.reshape(t_len, b_sz, 4, hs).transpose(2, 0, 1, 3)
-
-        # d_pre starts as the part of each gate gradient that the forward
-        # pass fixes: di = dc * [i(1-i) g], df = dc * [f(1-f) c_prev],
-        # dg = dc * [(1-g^2) i], do = dh * [o(1-o) tanh(c)].
-        d_pre = 1.0 - gates
-        d_pre *= gates
-        d_i, d_f, d_g, d_o = d_pre.reshape(t_len, b_sz, 4, hs).transpose(2, 0, 1, 3)
-        d_g[...] = 1.0 - g * g
-        d_i *= g
-        d_g *= i
-        d_f[1:] *= cells[:-1]
-        d_f[0] = 0.0
-        d_o *= tanh_c
-        dc_from_dh = o * (1.0 - tanh_c * tanh_c)
-
-        d_ifg = d_pre.reshape(t_len, b_sz, 4, hs)[:, :, :3]
-        wh_t = np.ascontiguousarray(self.params["wh"].T)
-        dh_next = np.zeros((b_sz, hs), dtype=x.dtype)
-        dc = np.zeros((b_sz, hs), dtype=x.dtype)
-        for t in range(t_len - 1, -1, -1):
-            dh = dh_out[t] + dh_next
-            d_o[t] *= dh
-            dc += dh * dc_from_dh[t]
-            d_ifg[t] *= dc[:, None]
-            dh_next = d_pre[t] @ wh_t
-            dc *= f[t]
-        del gates, i, f, g, o, cells, tanh_c, dc_from_dh  # free before the GEMMs
-
-        flat_da = d_pre.reshape(-1, 4 * hs)
-        self.grads = {
-            "wx": x[::self._time_step].reshape(-1, self.input_size).T @ flat_da,
-            "wh": hidden[:-1].reshape(-1, hs).T @ d_pre[1:].reshape(-1, 4 * hs),
-            "b": flat_da.sum(axis=0),
-        }
-        return (flat_da @ self.params["wx"].T).reshape(x.shape)
+        return _run_backward(self, (self,), (dh.transpose(1, 0, 2),)).transpose(1, 0, 2)
 
 
 class BiLSTM:
     """Forward and reversed LSTM passes, features concatenated (width 2H)."""
 
     def __init__(self, input_size, hidden_size, rng=None, dtype=np.float32):
+        self.input_size = input_size
         self.hidden_size = hidden_size
         self.fw = LSTM(input_size, hidden_size, reverse=False, rng=rng, dtype=dtype)
         self.bw = LSTM(input_size, hidden_size, reverse=True, rng=rng, dtype=dtype)
@@ -152,14 +84,144 @@ class BiLSTM:
         self.params = collect(self._directions, "params")
         self.grads = {}
         self.buffers = {}
+        self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        # One time-major copy of x, read by both directions.
-        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
-        return np.concatenate([self.fw.forward(x), self.bw.forward(x)], axis=2)
+        _check_input(x, self.input_size)
+        hidden = _run(self, (self.fw, self.bw),
+                      np.ascontiguousarray(x.transpose(1, 0, 2)))
+        # Time-major memory, which sets the order of BatchNorm's sums.
+        out = np.concatenate([hidden[0], hidden[1, ::-1]], axis=2)
+        return out.transpose(1, 0, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         hs = self.hidden_size
-        dx = self.fw.backward(dy[:, :, :hs]) + self.bw.backward(dy[:, :, hs:])
+        dy = dy.transpose(1, 0, 2)
+        dx = _run_backward(self, (self.fw, self.bw), (dy[:, :, :hs], dy[:, :, hs:]))
         self.grads = collect(self._directions, "grads")
-        return dx
+        return dx.transpose(1, 0, 2)
+
+
+def _run(layer, directions, x: np.ndarray) -> np.ndarray:
+    """Time-major x (T, B, I) -> hidden (D, T, B, H), each direction in its
+    own processing order; leaves on ``layer`` the cache ``_run_backward``
+    consumes."""
+    t_len, b_sz, n_in = x.shape
+    n_dir, hs = len(directions), directions[0].hidden_size
+    # Halves the sigmoid columns (i, f, o) and keeps the tanh column (g);
+    # full-size, so that each step's affine map reads contiguous operands.
+    half = np.full((n_dir, b_sz, 4 * hs), 0.5, dtype=x.dtype)
+    half[:, :, 2 * hs:3 * hs] = 1.0
+    shift = 1.0 - half
+
+    gates = np.empty((n_dir, t_len, b_sz, 4 * hs), dtype=x.dtype)
+    wh_half = np.empty((n_dir, hs, 4 * hs), dtype=x.dtype)
+    half_row = half[0, 0]
+    for d, lstm in enumerate(directions):
+        # For bw the rows in processing order are a copy that lives only
+        # through the GEMM.
+        np.matmul(x[::lstm._time_step].reshape(-1, n_in), lstm.params["wx"] * half_row,
+                  out=gates[d].reshape(-1, 4 * hs))
+        gates[d] += lstm.params["b"] * half_row
+        np.multiply(lstm.params["wh"], half_row, out=wh_half[d])
+
+    cells = np.empty((t_len, n_dir, b_sz, hs), dtype=x.dtype)
+    hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
+    # One step's gates, contiguous; stored into the cache once done.
+    a = np.empty((n_dir, b_sz, 4 * hs), dtype=x.dtype)
+    i, f, g, o = a.reshape(n_dir, b_sz, 4, hs).transpose(2, 0, 1, 3)
+    tanh_c = np.empty((n_dir, b_sz, hs), dtype=x.dtype)  # backward recomputes it
+    h_prev = c_prev = np.zeros((n_dir, b_sz, hs), dtype=x.dtype)
+    for s in range(t_len):
+        np.matmul(h_prev, wh_half, out=a)
+        a += gates[:, s]
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        gates[:, s] = a
+        c = cells[s]
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tanh_c)
+        c += tanh_c
+        np.tanh(c, out=tanh_c)
+        h_prev = hidden[:, s]
+        np.multiply(o, tanh_c, out=h_prev)
+        c_prev = c
+    layer._cache = (x, gates, cells, hidden)
+    return hidden
+
+
+def _run_backward(layer, directions, dys) -> np.ndarray:
+    """Consumes the cache ``_run`` left on ``layer`` and each direction's
+    output gradient, given time-major (T, B, H) in time order; sets every
+    direction's ``grads`` and returns dx, time-major (T, B, I)."""
+    (x, gates, cells, hidden), layer._cache = layer._cache, None
+    n_dir, t_len, b_sz, _ = gates.shape
+    hs, n_in = hidden.shape[-1], x.shape[-1]
+    # Indexed (T, D, B, 4, H), like the step-major arrays.
+    gates_by_step = gates.reshape(n_dir, t_len, b_sz, 4, hs).transpose(1, 0, 2, 3, 4)
+    i, f, g, o = gates_by_step.transpose(3, 0, 1, 2, 4)
+    tanh_c = np.tanh(cells)
+
+    # Each gate becomes the part of its gradient that the forward pass
+    # fixes: di = dc [((1-i) i) g], df = dc [((1-f) f) c_prev],
+    # dg = dc [(1-g^2) i], do = dh [((1-o) o) tanh(c)]. Where two factors
+    # read each other's gate, one is built in spare memory first.
+    spare = np.subtract(1.0, i, out=np.empty_like(cells))
+    spare *= i
+    spare *= g
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i
+    i[...] = spare
+    f_kept = spare  # the loop still scales dc by f
+    f_kept[...] = f
+    np.subtract(1.0, f, out=f)
+    f *= f_kept
+    f[1:] *= cells[:-1]
+    f[0] = 0.0
+    d_o = cells
+    np.subtract(1.0, o, out=d_o)
+    d_o *= o
+    d_o *= tanh_c
+    dc_from_dh = tanh_c  # o (1 - tanh^2 c)
+    dc_from_dh *= tanh_c
+    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+    dc_from_dh *= o
+    o[...] = d_o
+    dh_out = cells  # the output gradients, stacked in processing order
+    for d, (lstm, dy) in enumerate(zip(directions, dys)):
+        dh_out[:, d] = dy[::lstm._time_step]
+
+    d_ifg = gates_by_step[:, :, :, :3]
+    wh_t = np.ascontiguousarray(np.stack([lstm.params["wh"].T for lstm in directions]))
+    dh = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
+    dh_next = np.zeros_like(dh)
+    dc = np.zeros_like(dh)
+    dc_per_gate = dc[:, :, None]
+    work = np.empty_like(dh)
+    for s in range(t_len - 1, -1, -1):
+        np.add(dh_out[s], dh_next, out=dh)
+        o[s] *= dh
+        np.multiply(dh, dc_from_dh[s], out=work)
+        dc += work
+        d_ifg[s] *= dc_per_gate
+        np.matmul(gates[:, s], wh_t, out=dh_next)
+        dc *= f_kept[s]
+    del cells, tanh_c, spare, f_kept, d_o, dc_from_dh, dh_out  # free before the GEMMs
+
+    dx = None
+    for d, lstm in enumerate(directions):
+        step = lstm._time_step
+        da = gates[d].reshape(-1, 4 * hs)
+        lstm.grads = {
+            "wx": x[::step].reshape(-1, n_in).T @ da,
+            "wh": hidden[d, :-1].reshape(-1, hs).T @ da[b_sz:],
+            "b": da.sum(axis=0),
+        }
+        dx_d = (da @ lstm.params["wx"].T).reshape(x.shape)[::step]
+        if dx is None:
+            dx = dx_d
+        else:
+            dx += dx_d
+    return dx

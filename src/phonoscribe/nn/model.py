@@ -36,6 +36,14 @@ class ModelConfig:
         if min(self.mfcc_coefficients, self.conv_units, self.lstm_units,
                self.output_classes) <= 0:
             raise ValueError("all sizes must be positive")
+        if min(self.conv_layers, self.lstm_layers) < 0:
+            raise ValueError("layer counts must be >= 0")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 != 1:
+            raise ValueError(
+                f"conv_kernel must be odd and >= 1, not {self.conv_kernel!r}")
+        if self.conv_activation not in ("relu", "none"):
+            raise ValueError("conv_activation must be 'relu' or 'none', "
+                             f"not {self.conv_activation!r}")
         if not 0.0 <= self.lstm_dropout < 1.0:
             raise ValueError("lstm_dropout must be in [0, 1)")
 
@@ -62,8 +70,6 @@ class TranscriptionModel:
                  Conv1d(width, config.conv_units, config.conv_kernel, rng, dtype)))
             if config.conv_activation == "relu":
                 self._layers.append((f"conv{i}_relu", ReLU()))
-            elif config.conv_activation != "none":
-                raise ValueError(f"unknown activation {config.conv_activation!r}")
             width = config.conv_units
             if config.conv_batchnorm:
                 self._layers.append((f"conv{i}_bn", BatchNorm1d(width, dtype=dtype)))

@@ -35,7 +35,8 @@ class NumericError(RuntimeError):
 
 class ConfigError(ValueError):
     """A config file or block is not a JSON object, names a field its
-    settings class does not have, or does not match a resumed checkpoint."""
+    settings class does not have, holds a value that class rejects, or does
+    not match a resumed checkpoint."""
 
 
 def require_object(value, what: str) -> dict:
@@ -47,13 +48,16 @@ def require_object(value, what: str) -> dict:
 
 
 def parse_settings(cls, d: dict, block: str):
-    """``cls(**d)``; a ``d`` that is not an object, or a key ``cls`` lacks,
-    is a ConfigError naming ``block``."""
+    """``cls(**d)``; a ``d`` that is not an object, a key ``cls`` lacks, or
+    a value ``cls`` rejects is a ConfigError naming ``block``."""
     require_object(d, f"the {block} block")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {block} block: {e}") from e
 
 
 class StageError(RuntimeError):

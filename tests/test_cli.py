@@ -398,6 +398,24 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert f"unknown {block} key(s): bogus" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
+        ("conv_activation", "tanh"), ("conv_layers", -1)])
+    def test_invalid_model_value_exits_two_before_reading_samples(
+            self, tmp_path, capsys, field, value):
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config["model"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        # Neither input exists, so reading one would exit 1.
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "invalid model block" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("config_json, message", [
         ({"model": 5}, "the model block must be a JSON object, not int"),
         ({"train": [1]}, "the train block must be a JSON object, not list"),

@@ -353,6 +353,50 @@ class TestLSTM:
         x = rng.normal(size=(2, 4, 2))
         check_layer_gradients(layer, x, layer.forward, seed=seed, tol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b_sz, t_len, n_in, hs", [
+        (3, 7, 5, 4), (1, 6, 3, 5), (4, 1, 6, 3), (1, 1, 2, 3), (2, 9, 4, 4)])
+    def test_bidirectional_equals_two_separate_directions(
+            self, dtype, b_sz, t_len, n_in, hs):
+        # Both directions advance in one stacked loop; every element must
+        # come out as a run of each direction on its own would give it.
+        rng = rng64(100 * b_sz + 10 * t_len + n_in)
+        layer = BiLSTM(n_in, hs, rng=rng, dtype=dtype)
+        for value in layer.params.values():
+            value += rng.normal(scale=0.3, size=value.shape).astype(dtype)
+        singles = {"fw": LSTM(n_in, hs, dtype=dtype),
+                   "bw": LSTM(n_in, hs, reverse=True, dtype=dtype)}
+        for name, single in singles.items():
+            for key, value in single.params.items():
+                value[...] = layer.params[f"{name}.{key}"]
+        x = rng.normal(size=(b_sz, t_len, n_in)).astype(dtype)
+        dy = rng.normal(size=(b_sz, t_len, 2 * hs)).astype(dtype)
+
+        y = layer.forward(x)
+        dx = layer.backward(dy)
+        want_y = np.concatenate([singles["fw"].forward(x),
+                                 singles["bw"].forward(x)], axis=2)
+        want_dx = (singles["fw"].backward(dy[:, :, :hs])
+                   + singles["bw"].backward(dy[:, :, hs:]))
+        assert y.dtype == dx.dtype == dtype
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(dx, want_dx)
+        assert len(layer.grads) == 6
+        for name, single in singles.items():
+            for key, grad in single.grads.items():
+                assert np.array_equal(layer.grads[f"{name}.{key}"], grad), (name, key)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 5, 4), (2, 5, 3, 1)])
+    def test_bidirectional_checks_its_own_input(self, monkeypatch, shape):
+        def not_called(*args):
+            raise AssertionError("BiLSTM ran LSTM.forward")
+
+        monkeypatch.setattr(LSTM, "forward", not_called)
+        layer = BiLSTM(3, 4, rng=rng64(52), dtype=np.float64)
+        with pytest.raises(ShapeMismatchError, match=r"expected \(B, T, 3\)"):
+            layer.forward(np.zeros(shape))
+        assert layer.forward(np.zeros((2, 5, 3))).shape == (2, 5, 8)
+
 
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
@@ -573,6 +617,33 @@ class TestLayerProtocol:
         layer.backward(np.ones((2, 5, 8)))
         assert set(layer.grads) == set(layer.params)
         assert layer.grads["bw.wh"] is layer.bw.grads["wh"]
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("conv_kernel", 2, "conv_kernel must be odd"),
+        ("conv_kernel", 0, "conv_kernel must be odd"),
+        ("conv_kernel", -1, "conv_kernel must be odd"),
+        ("conv_activation", "tanh", "conv_activation must be"),
+        ("conv_layers", -1, "layer counts"),
+        ("lstm_layers", -1, "layer counts"),
+        ("lstm_units", 0, "sizes must be positive"),
+        ("lstm_dropout", 1.0, "lstm_dropout"),
+    ])
+    def test_rejects_bad_values(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3")])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(TypeError):
+            ModelConfig(**{field: value})
+
+    def test_accepts_edge_values(self):
+        config = ModelConfig(conv_layers=0, lstm_layers=0, conv_kernel=1,
+                             conv_activation="none", lstm_dropout=0.0)
+        assert count_params(config) == 40 * 38 + 38
 
 
 class TestCountParams:

@@ -279,6 +279,20 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
+        ("conv_activation", "tanh"), ("conv_layers", -1)])
+    def test_meta_with_invalid_model_value_rejected(self, tmp_path, field,
+                                                    value):
+        train_config = tiny_config().to_dict()
+        train_config["model"][field] = value
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {"train_config": train_config}, {})
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(path)
+        assert str(path) in str(excinfo.value)
+        assert "invalid model block" in str(excinfo.value)
+
     def test_optimizer_state_preserved(self, tmp_path):
         samples = toy_samples(12)
         checkpoint, _ = train_run(samples, tiny_config(epochs=1))
