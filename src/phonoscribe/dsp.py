@@ -9,6 +9,7 @@ floor, orthonormal DCT-II keeping the first 40 coefficients. A 2 s clip at
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,37 +164,52 @@ def fix_length(clip: AudioClip, seconds: float = 2.0) -> AudioClip:
     return AudioClip(clip.sample_rate, out)
 
 
+RESAMPLE_BLOCK = 4096  # output samples per block
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited rate conversion with a 16-tap windowed-sinc kernel.
 
     Kernel weights are renormalized per output sample, so DC is preserved
-    exactly, including at the clip edges. Identity when rates match.
+    exactly, including at the clip edges. Identity when rates match. The
+    output is worked out in blocks of ``RESAMPLE_BLOCK`` samples, which
+    bounds the (samples x 16) temporaries; each output sample's arithmetic
+    does not depend on the block it falls in.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == clip.sample_rate:
         return clip
-    x = clip.samples.astype(np.float64)
+    x = clip.samples.astype(np.float64, copy=False)
     n = len(x)
     ratio = target_rate / clip.sample_rate
     out_len = int(round(n * ratio))
     if out_len == 0 or n == 0:
         return AudioClip(target_rate, np.zeros(out_len))
 
-    positions = np.arange(out_len) / ratio
-    base = np.floor(positions).astype(np.int64)
-    taps = np.arange(-7, 9)
-    idx = base[:, None] + taps[None, :]
-    delta = idx - positions[:, None]
-
     cutoff = min(1.0, ratio)  # anti-aliasing when downsampling
+    y = np.empty(out_len)
+    for start in range(0, out_len, RESAMPLE_BLOCK):
+        stop = min(start + RESAMPLE_BLOCK, out_len)
+        y[start:stop] = _resampled_block(x, np.arange(start, stop) / ratio, cutoff)
+    return AudioClip(target_rate, y)
+
+
+def _resampled_block(x: np.ndarray, positions: np.ndarray,
+                     cutoff: float) -> np.ndarray:
+    """``resample``'s output samples at ``positions``, in input samples."""
+    taps = np.arange(-7, 9)
+    base = np.floor(positions).astype(np.int64)[:, None]
+    delta = (base + taps) - positions[:, None]
     weights = cutoff * np.sinc(cutoff * delta)
     weights *= 0.5 + 0.5 * np.cos(np.pi * delta / 8.0)  # Hann taper, |delta| <= 8
-    weights *= (idx >= 0) & (idx < n)
+    del delta  # the tap indices below take its memory
 
-    gathered = x[np.clip(idx, 0, n - 1)]
-    y = (weights * gathered).sum(axis=1) / weights.sum(axis=1)
-    return AudioClip(target_rate, y)
+    idx = base + taps
+    weights *= (idx >= 0) & (idx < len(x))
+    gathered = x[np.clip(idx, 0, len(x) - 1, out=idx)]
+    gathered *= weights
+    return gathered.sum(axis=1) / weights.sum(axis=1)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -313,16 +329,25 @@ def save_features(path: str | Path, features: np.ndarray) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
+    """Read a feature file; a malformed one is a FeatureFileError naming
+    ``path``. The payload length is checked against T x C from the file
+    size before anything is read or allocated."""
+    header_size = struct.calcsize("<4sHII")
     with open(path, "rb") as f:
-        header = f.read(struct.calcsize("<4sHII"))
-        if len(header) < struct.calcsize("<4sHII"):
-            raise FeatureFileError("truncated feature header")
+        payload_size = os.fstat(f.fileno()).st_size - header_size
+        header = f.read(header_size)
+        if len(header) < header_size:
+            raise FeatureFileError(f"{path}: truncated feature header")
         magic, version, t, c = struct.unpack("<4sHII", header)
         if magic != FEATURE_MAGIC:
-            raise FeatureFileError(f"bad magic {magic!r}")
+            raise FeatureFileError(f"{path}: bad magic {magic!r}")
         if version != FEATURE_VERSION:
-            raise FeatureFileError(f"unsupported version {version}")
-        data = np.frombuffer(f.read(4 * t * c), dtype="<f4")
-    if data.size != t * c:
-        raise FeatureFileError("truncated feature payload")
-    return data.reshape(t, c).copy()
+            raise FeatureFileError(f"{path}: unsupported version {version}")
+        if payload_size != 4 * t * c:
+            raise FeatureFileError(
+                f"{path}: header says {t}x{c} float32 values "
+                f"({4 * t * c} bytes), the payload has {payload_size} bytes")
+        data = np.empty((t, c), dtype="<f4")
+        if f.readinto(data) != data.nbytes:
+            raise FeatureFileError(f"{path}: truncated feature payload")
+    return data

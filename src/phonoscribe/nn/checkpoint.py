@@ -7,9 +7,10 @@ Layout, all integers little-endian:
         u16 name_len | name UTF-8 | u32 rank | u32 dim * rank | f32-LE payload
 
 The JSON block is serialized with sorted keys and compact separators, so a
-given (meta, arrays) pair always produces identical bytes. Loaded arrays are
-views of a read-only memory map of the file, so pages of arrays nobody reads
-are never read from disk; whoever needs to write copies them. The map stays
+given (meta, arrays) pair always produces identical bytes. The headers are
+parsed with ordinary file reads; loaded arrays are views of a read-only
+memory map of the file, so pages of arrays nobody reads are never read from
+disk; whoever needs to write copies them (``copy_into``). The map stays
 valid while any view is alive: ``save_checkpoint`` replaces a file with
 ``os.replace``, so an open map keeps the old file's contents.
 """
@@ -25,6 +26,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .layers import ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"PHCK"
 CHECKPOINT_VERSION = 1
@@ -55,29 +58,40 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(meta, arrays)``: the config block and every array, by name, as a
+    read-only view of a map of the file."""
     with open(path, "rb") as f:
-        try:
-            raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as e:  # an empty file cannot be mapped
-            raise CheckpointError(f"empty checkpoint: {e}") from e
-    offset = 0
+        meta, index = _read_index(f)
+        raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return meta, {name: np.frombuffer(raw, dtype="<f4", count=math.prod(shape),
+                                      offset=offset).reshape(shape)
+                  for name, (offset, shape) in index.items()}
 
-    def advance(size: int) -> int:
-        """Move past the next ``size`` bytes, which must lie inside the file;
-        return where they start."""
-        nonlocal offset
-        if offset + size > len(raw):
+
+def _read_index(f) -> tuple[dict, dict[str, tuple[int, tuple[int, ...]]]]:
+    """The config block and ``{name: (payload offset, shape)}`` of an open
+    checkpoint file. Ordinary reads of the headers only: no payload byte is
+    read, so no payload page is mapped."""
+    size = os.fstat(f.fileno()).st_size
+
+    def skip(n: int) -> int:
+        """Check that the next ``n`` bytes lie inside the file; return where
+        they start."""
+        start = f.tell()
+        if start + n > size:
             raise CheckpointError("truncated checkpoint")
-        offset += size
-        return offset - size
+        return start
+
+    def take_bytes(n: int) -> bytes:
+        skip(n)
+        return f.read(n)
 
     def take(fmt: str):
-        return struct.unpack_from(fmt, raw, advance(struct.calcsize(fmt)))
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
 
-    def take_text(size: int) -> str:
-        start = advance(size)
+    def take_text(n: int) -> str:
         try:
-            return raw[start:start + size].decode("utf-8")
+            return take_bytes(n).decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"text field is not UTF-8: {e}") from e
 
@@ -93,14 +107,48 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"config block is not JSON: {e}") from e
 
     (count,) = take("<I")
-    arrays = {}
+    index = {}
     for _ in range(count):
         (name_len,) = take("<H")
         name = take_text(name_len)
         (rank,) = take("<I")
         shape = take(f"<{rank}I")
-        n_values = math.prod(shape)
-        data = np.frombuffer(raw, dtype="<f4", count=n_values,
-                             offset=advance(4 * n_values))
-        arrays[name] = data.reshape(shape)
-    return meta, arrays
+        n_bytes = 4 * math.prod(shape)
+        index[name] = (skip(n_bytes), shape)
+        f.seek(n_bytes, os.SEEK_CUR)
+    return meta, index
+
+
+def copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
+              kind: str) -> None:
+    """Copy ``values`` into ``own`` by name; names and shapes must match.
+
+    Each value that is a view ``load_checkpoint`` returned has its mapped
+    pages dropped from the process once it is copied (a later read maps them
+    again), so copying a checkpoint into a model keeps about one array's
+    payload resident at a time beside the model's own arrays.
+    """
+    if set(values) != set(own):
+        mismatched = set(own) ^ set(values)
+        raise ShapeMismatchError(f"{kind} name mismatch: {sorted(mismatched)}")
+    for name, value in values.items():
+        if own[name].shape != value.shape:
+            raise ShapeMismatchError(
+                f"{name}: expected {own[name].shape}, got {value.shape}")
+        own[name][...] = value
+        _drop_pages(value)
+
+
+def _drop_pages(array: np.ndarray) -> None:
+    """``madvise(MADV_DONTNEED)`` over the pages under ``array`` if it views
+    a checkpoint map; the map is read-only, so no data is lost."""
+    owner = array
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    raw = getattr(owner, "obj", None)  # np.frombuffer keeps a memoryview
+    if (not isinstance(raw, mmap.mmap) or array.size == 0
+            or not hasattr(mmap, "MADV_DONTNEED")):
+        return
+    start = array.ctypes.data - np.frombuffer(raw, dtype=np.uint8, count=1).ctypes.data
+    first = start - start % mmap.PAGESIZE
+    raw.madvise(mmap.MADV_DONTNEED, first, start + array.nbytes - first)

@@ -6,8 +6,12 @@ sequences shaped (batch, time, channels):
 - ``forward(x, ctx=None)``. ``ctx`` is None in eval mode; in training it is
   the dropout key ``(seed, step)``. BatchNorm1d uses batch statistics
   exactly when ``ctx`` is not None, Dropout draws its mask from ``(seed,
-  layer_id, step)``, and every other layer ignores ``ctx``. Forward caches
-  whatever backward needs.
+  layer_id, step)``, and every other layer ignores ``ctx``. Forward keeps
+  whatever backward needs in one attribute, ``_cache`` (None when nothing
+  is kept). ``TranscriptionModel.forward`` in eval mode sets each layer's
+  ``_cache`` to None as soon as that layer has returned, so an eval pass
+  holds one layer's working set at a time; a direct ``layer.forward`` keeps
+  its cache, so backward may follow it in either mode.
 - ``backward(dy)`` returns the input gradient of the last forward and
   overwrites ``grads``; one optimizer step per backward. It consumes the
   forward cache, so each activation is freed once its backward has read
@@ -33,19 +37,6 @@ def collect(named_layers, attr: str) -> dict[str, np.ndarray]:
     """``{"name.key": array}`` over the ``attr`` dict of each (name, layer)."""
     return {f"{name}.{key}": value for name, layer in named_layers
             for key, value in getattr(layer, attr).items()}
-
-
-def copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
-              kind: str) -> None:
-    """Copy ``values`` into ``own`` by name; names and shapes must match."""
-    if set(values) != set(own):
-        mismatched = set(own) ^ set(values)
-        raise ShapeMismatchError(f"{kind} name mismatch: {sorted(mismatched)}")
-    for name, value in values.items():
-        if own[name].shape != value.shape:
-            raise ShapeMismatchError(
-                f"{name}: expected {own[name].shape}, got {value.shape}")
-        own[name][...] = value
 
 
 def uniform_init(rng, shape, fan_in: int, dtype) -> np.ndarray:
@@ -104,13 +95,14 @@ class Conv1d:
 class ReLU:
     def __init__(self):
         self.params, self.grads, self.buffers = {}, {}, {}
+        self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        self._mask = x > 0  # strict: no gradient at exactly 0
+        self._cache = x > 0  # strict: no gradient at exactly 0
         return np.maximum(x, 0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        mask, self._mask = self._mask, None
+        mask, self._cache = self._cache, None
         return dy * mask
 
 
@@ -199,11 +191,11 @@ class Dropout:
         self.p = p
         self.layer_id = layer_id
         self.params, self.grads, self.buffers = {}, {}, {}
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if ctx is None or self.p == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         seed, step = ctx
         key = np.array(
@@ -219,11 +211,11 @@ class Dropout:
             np.greater_equal(gen.random(keep_row.shape), self.p, out=keep_row)
         # The mask is (keep, 1/(1-p) in x's dtype): a * keep * scale equals
         # a * (keep * scale) bit for bit, without a float mask array.
-        self._mask = (keep, np.ones(1, x.dtype) / (1.0 - self.p))
-        return _masked(x, *self._mask)
+        self._cache = (keep, np.ones(1, x.dtype) / (1.0 - self.p))
+        return _masked(x, *self._cache)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        mask, self._mask = self._mask, None
+        mask, self._cache = self._cache, None
         return dy if mask is None else _masked(dy, *mask)
 
 
@@ -245,17 +237,17 @@ class Linear:
         }
         self.grads = {}
         self.buffers = {}
-        self._x = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ShapeMismatchError(
                 f"expected trailing dim {self.in_features}, got {x.shape}")
-        self._x = x
+        self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
+        x, self._cache = self._cache, None
         self.grads = {
             "w": x.reshape(-1, self.in_features).T @ dy.reshape(-1, self.out_features),
             "b": dy.sum(axis=(0, 1)),

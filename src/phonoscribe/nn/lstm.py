@@ -21,12 +21,12 @@ contiguous (D, B, 4H) buffer.
 The input projection for all timesteps is one matrix product per
 direction; the loop only adds h_{t-1} @ wh, then takes one tanh over all
 four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)), with the halving
-folded exactly into wx, wh and b. Backward hoists out of the loop every
-factor the forward pass fixes and turns the cached gates into the gate
-gradients in place (Appleyard et al., arXiv:1604.01946). Every element
-sees the operations of a run of its direction alone, in the same order, so
-a BiLSTM equals a standalone ``LSTM`` and ``LSTM(reverse=True)`` bit for
-bit.
+applied exactly to the projection x @ wx + b and folded into wh. Backward
+hoists out of the loop every factor the forward pass fixes and turns the
+cached gates into the gate gradients in place (Appleyard et al.,
+arXiv:1604.01946). Every element sees the operations of a run of its
+direction alone, in the same order, so a BiLSTM equals a standalone
+``LSTM`` and ``LSTM(reverse=True)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -119,10 +119,13 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     half_row = half[0, 0]
     for d, lstm in enumerate(directions):
         # For bw the rows in processing order are a copy that lives only
-        # through the GEMM.
-        np.matmul(x[::lstm._time_step].reshape(-1, n_in), lstm.params["wx"] * half_row,
+        # through the GEMM. Scaling by 0.5 commutes with rounding, so
+        # halving the projection equals projecting with halved wx and b
+        # bit for bit, without a halved copy of wx.
+        np.matmul(x[::lstm._time_step].reshape(-1, n_in), lstm.params["wx"],
                   out=gates[d].reshape(-1, 4 * hs))
-        gates[d] += lstm.params["b"] * half_row
+        gates[d] += lstm.params["b"]
+        gates[d] *= half_row
         np.multiply(lstm.params["wh"], half_row, out=wh_half[d])
 
     cells = np.empty((t_len, n_dir, b_sz, hs), dtype=x.dtype)

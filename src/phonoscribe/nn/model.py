@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import copy_into
 from .layers import (BatchNorm1d, Conv1d, Dropout, Linear, ReLU,
-                     ShapeMismatchError, collect, copy_into)
+                     ShapeMismatchError, collect)
 from .lstm import LSTM, BiLSTM
 
 
@@ -90,12 +91,17 @@ class TranscriptionModel:
         self._layers.append(("out", Linear(width, config.output_classes, rng, dtype)))
 
     def forward(self, x: np.ndarray, train: bool = False, step: int = 0):
-        """(B, T, mfcc_coefficients) -> logits (B, T, output_classes)."""
+        """(B, T, mfcc_coefficients) -> logits (B, T, output_classes).
+
+        In eval mode (``train=False``) each layer's backward cache is
+        dropped as soon as the layer has returned: no backward follows."""
         if x.ndim != 3:
             raise ShapeMismatchError(f"expected (B, T, C), got {x.shape}")
         ctx = (self.dropout_seed, step) if train else None
         for _, layer in self._layers:
             x = layer.forward(x, ctx)
+            if not train:  # no backward follows
+                layer._cache = None
         return x
 
     def forward_single(self, features: np.ndarray) -> np.ndarray:

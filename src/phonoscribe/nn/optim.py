@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ShapeMismatchError, copy_into
+from .checkpoint import copy_into
+from .layers import ShapeMismatchError
 
 
 class AdamW:

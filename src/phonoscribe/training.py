@@ -11,6 +11,7 @@ from a checkpoint replays exactly.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -76,6 +77,10 @@ class FeaturizedSample:
     features: np.ndarray  # (T, C), unstandardized
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 20
@@ -88,6 +93,23 @@ class TrainConfig:
     norm: FeatureNorm = field(default_factory=lambda: dsp.DEFAULT_NORM)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     stop_at_eval_accuracy: float | None = None
+
+    def __post_init__(self):
+        for name, least in (("batch_size", 1), ("epochs", 0),
+                            ("eval_batches", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, not {value!r}")
+        if not _is_real(self.lr) or not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, not {self.lr!r}")
+        if not _is_real(self.weight_decay) or not self.weight_decay >= 0.0:
+            raise ValueError(
+                f"weight_decay must be >= 0, not {self.weight_decay!r}")
+        accuracy = self.stop_at_eval_accuracy
+        if accuracy is not None and not (_is_real(accuracy) and 0.0 <= accuracy <= 1.0):
+            raise ValueError(
+                f"stop_at_eval_accuracy must be in [0, 1], not {accuracy!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

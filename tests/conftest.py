@@ -1,11 +1,33 @@
 import time
+import tracemalloc
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from phonoscribe.nn import ModelConfig
 from phonoscribe.training import TrainConfig, train_run
 
 from synth import build_tone_corpus
+
+@contextmanager
+def numpy_bytes():
+    """Trace the allocations made inside the block. Yields ``usage()``,
+    which returns ``(held, peak)`` so far: the bytes of numpy arrays
+    allocated inside the block and still alive, and the highest total of
+    traced bytes (numpy's and Python's) alive at once."""
+    def usage():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return (sum(trace.size for trace in snapshot.traces),
+                tracemalloc.get_traced_memory()[1])
+
+    tracemalloc.start()
+    try:
+        yield usage
+    finally:
+        tracemalloc.stop()
+
 
 # Reduced-model training setup for the synthetic-corpus gate; deterministic
 # end to end (corpus synthesis, split, init, batch order).

@@ -205,3 +205,21 @@ def naive_mfcc(
         logged = np.log(np.maximum(banked, log_floor))
         out[t] = dct @ logged
     return out
+
+
+def oneshot_resample(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
+    """The windowed-sinc resampler's formula over every output sample at
+    once: one (out_len, 16) array per step."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = len(x)
+    ratio = target_rate / rate
+    out_len = int(round(n * ratio))
+    positions = np.arange(out_len) / ratio
+    idx = np.floor(positions).astype(np.int64)[:, None] + np.arange(-7, 9)[None, :]
+    delta = idx - positions[:, None]
+    cutoff = min(1.0, ratio)
+    weights = cutoff * np.sinc(cutoff * delta)
+    weights *= 0.5 + 0.5 * np.cos(np.pi * delta / 8.0)
+    weights *= (idx >= 0) & (idx < n)
+    gathered = x[np.clip(idx, 0, n - 1)]
+    return (weights * gathered).sum(axis=1) / weights.sum(axis=1)

@@ -10,7 +10,8 @@ import pytest
 from phonoscribe import analysis, cli, corpus, dsp
 from phonoscribe.cli import main
 from phonoscribe.training import Checkpoint, TrainConfig
-from phonoscribe.nn import ModelConfig, TranscriptionModel, save_checkpoint
+from phonoscribe.nn import (AdamW, ModelConfig, TranscriptionModel,
+                            save_checkpoint)
 
 BONJOUR_AUDIO = "LL-Q150 (fra)-LoquaxFR-bonjour.wav"
 
@@ -416,6 +417,43 @@ class TestTrainCommand:
         assert "invalid model block" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", "big", "batch_size must be an integer >= 1"),
+        ("batch_size", True, "batch_size must be an integer >= 1"),
+        ("batch_size", 2.0, "batch_size must be an integer >= 1"),
+        ("batch_size", 0, "batch_size must be an integer >= 1"),
+        ("epochs", -1, "epochs must be an integer >= 0"),
+        ("eval_batches", 0, "eval_batches must be an integer >= 1"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("lr", 0, "lr must be positive and finite"),
+        ("lr", -1e-3, "lr must be positive and finite"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("lr", float("nan"), "lr must be positive and finite"),
+        ("weight_decay", -0.01, "weight_decay must be >= 0"),
+        ("stop_at_eval_accuracy", 1.5, "stop_at_eval_accuracy must be in [0, 1]"),
+        ("stop_at_eval_accuracy", -0.1, "stop_at_eval_accuracy must be in [0, 1]"),
+    ])
+    def test_invalid_train_value_exits_two_before_reading_samples(
+            self, tmp_path, capsys, field, value, message):
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config["train"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        # Neither input exists, so reading one would exit 1.
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "invalid train block" in err and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_invalid_train_flag_exits_two(self, tmp_path, capsys):
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--batch-size", 0]) == 2
+        assert "batch_size must be an integer >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config_json, message", [
         ({"model": 5}, "the model block must be a JSON object, not int"),
         ({"train": [1]}, "the train block must be a JSON object, not list"),
@@ -491,6 +529,21 @@ class TestEvalCommand:
         assert code == 1
         assert "truncated feature header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, payload", [
+        ((2**31, 2**31), b""), ((1, 2), b"\0" * 5)], ids=["huge", "ragged"])
+    def test_malformed_feature_payload_exits_one(self, tmp_path, capsys,
+                                                 header, payload):
+        samples, features = featurized_fixture(tmp_path)
+        path = features / "w1.wav.phfm"
+        path.write_bytes(struct.pack("<4sHII", b"PHFM", 1, *header) + payload)
+        code = run(["eval", "--checkpoint", zero_checkpoint(tmp_path),
+                    "--samples", samples, "--features", features,
+                    "--report-dir", tmp_path / "report"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("edit", ["short-running-mean",
                                       "missing-running-var"])
     def test_bad_running_stats_exit_one(self, tmp_path, capsys, edit):
@@ -526,6 +579,53 @@ class TestEvalCommand:
         assert run(["suspects", "--report-dir", report_dir,
                     "--min-distance", 2]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 25
+
+
+def checkpoint_with_optimizer(path, mfcc_coefficients, fill=None):
+    """Random weights plus AdamW moments after one step; ``fill`` replaces
+    every moment's values."""
+    config = TrainConfig(
+        model=ModelConfig(mfcc_coefficients=mfcc_coefficients, conv_units=8,
+                          lstm_units=8, lstm_dropout=0.0),
+        norm=dsp.FeatureNorm(0.0, 1.0),
+    )
+    model = TranscriptionModel(config.model, rng=np.random.default_rng(11))
+    optimizer = AdamW(model.parameters())
+    optimizer.step({k: np.ones_like(v) for k, v in model.parameters().items()})
+    state = optimizer.state_arrays()
+    if fill is not None:
+        state = {k: np.full_like(v, fill) for k, v in state.items()}
+    Checkpoint(config=config, params=model.parameters(), buffers=model.buffers(),
+               optimizer=state, optimizer_t=1, epoch=1, step=1).save(path)
+    return path
+
+
+class TestOptimizerStateIsNotRead:
+    """``eval`` and ``infer`` print the same bytes whatever the ``opt/``
+    payload of the checkpoint holds."""
+
+    def test_eval(self, tmp_path, capsys):
+        samples, features = featurized_fixture(tmp_path)
+        outputs = []
+        for fill in (None, np.nan):
+            path = checkpoint_with_optimizer(tmp_path / f"{fill}.phck", 8, fill)
+            report_dir = tmp_path / f"report-{fill}"
+            assert run(["eval", "--checkpoint", path, "--samples", samples,
+                        "--features", features, "--report-dir", report_dir]) == 0
+            outputs.append((capsys.readouterr().out,
+                            (report_dir / "report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_infer(self, tmp_path, capsys):
+        wavs = [tmp_path / f"{name}.wav" for name in "ab"]
+        for wav, freq in zip(wavs, (300.0, 900.0)):
+            make_wav(wav, freq=freq)
+        outputs = []
+        for fill in (None, np.nan):
+            path = checkpoint_with_optimizer(tmp_path / f"{fill}.phck", 40, fill)
+            assert run(["infer", "--checkpoint", path, *wavs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestInferCommand:

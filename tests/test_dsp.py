@@ -2,9 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_mfcc
+from conftest import numpy_bytes
+from oracles import naive_mfcc, oneshot_resample
 from phonoscribe.dsp import (
+    RESAMPLE_BLOCK,
     AudioClip,
     ConfigError,
     CorruptHeaderError,
@@ -43,6 +47,13 @@ def pcm16_wav(samples, rate=16000, channels=1, audio_format=1, bits=16):
     ) + payload
 
 
+def overwrite_byte(raw: bytes, at: int, value: int) -> bytes:
+    return raw[:at] + bytes([value]) + raw[at + 1:]
+
+
+VALID_WAV = pcm16_wav([1, -2, 3, -4], channels=2)
+
+
 class TestDecodeWav:
     def test_pcm16_scaling(self):
         clip = decode_wav(pcm16_wav([16384]))
@@ -72,6 +83,22 @@ class TestDecodeWav:
         data = pcm16_wav([0])
         with pytest.raises(CorruptHeaderError):
             decode_wav(data[:36])  # header plus fmt, no data chunk
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=80),
+        st.binary(max_size=80).map(lambda tail: b"RIFF\x00\x00\x00\x00WAVE" + tail),
+        st.tuples(st.integers(0, len(VALID_WAV) - 1), st.integers(0, 255))
+        .map(lambda edit: overwrite_byte(VALID_WAV, *edit)),
+        st.integers(0, len(VALID_WAV)).map(lambda end: VALID_WAV[:end]),
+    ))
+    def test_arbitrary_bytes_decode_or_are_rejected(self, data):
+        try:
+            clip = decode_wav(data)
+        except (CorruptHeaderError, UnsupportedFormatError):
+            return
+        assert clip.sample_rate > 0
+        assert clip.samples.dtype == np.float64 and clip.samples.ndim == 1
 
     def test_encode_decode_round_trip(self):
         rng = np.random.default_rng(0)
@@ -130,6 +157,29 @@ class TestResample:
     def test_upsample_length(self):
         clip = AudioClip(8000, np.zeros(8000))
         assert len(resample(clip, 16000).samples) == 16000
+
+    @pytest.mark.parametrize("rate, out_len", [
+        (8000, 3 * RESAMPLE_BLOCK + 100),   # up, several blocks
+        (48000, 3 * RESAMPLE_BLOCK + 1),    # down, a one-sample last block
+        (44100, 4 * RESAMPLE_BLOCK),        # down, whole blocks
+        (8000, 1000),                       # up, under one block
+        (44100, 57),                        # down, under one block
+    ])
+    def test_blocks_equal_the_one_shot_formula(self, rate, out_len):
+        n = round(out_len * rate / 16000)
+        samples = np.random.default_rng(rate + out_len).uniform(-1, 1, n)
+        out = resample(AudioClip(rate, samples), 16000).samples
+        want = oneshot_resample(samples, rate, 16000)
+        assert len(want) == out_len
+        assert out.tobytes() == want.tobytes()
+
+    def test_ten_seconds_at_48k_peak_under_4_mib(self):
+        clip = AudioClip(48000, np.random.default_rng(3).uniform(-1, 1, 480000))
+        with numpy_bytes() as usage:
+            out = resample(clip, 16000)
+            held, peak = usage()
+        assert held == out.samples.nbytes
+        assert peak < 4 * 2**20
 
 
 class TestMfcc:
@@ -268,3 +318,35 @@ class TestFeatureFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(FeatureFileError):
             load_features(path)
+
+    @pytest.mark.parametrize("t, c, payload", [
+        (2**31, 2**31, b""),           # T*C*4 overflows a read size
+        (2**20, 2**20, b"\0" * 8),     # 4 TiB: would not fit in memory
+        (1, 2, b"\0" * 5),             # not a whole number of float32
+        (1, 1, b"\0" * 8),             # trailing bytes
+    ], ids=["overflow", "huge", "ragged", "trailing"])
+    def test_payload_length_checked_against_header(self, tmp_path, t, c,
+                                                   payload):
+        path = tmp_path / "x.phfm"
+        path.write_bytes(struct.pack("<4sHII", b"PHFM", 1, t, c) + payload)
+        with pytest.raises(FeatureFileError, match=str(path)):
+            load_features(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda tail: b"PHFM\x01\x00" + tail),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.binary(max_size=40))
+        .map(lambda f: struct.pack("<4sHII", b"PHFM", 1, f[0], f[1]) + f[2]),
+    ))
+    def test_arbitrary_bytes_load_or_are_rejected(self, tmp_path, data):
+        path = tmp_path / "x.phfm"
+        path.write_bytes(data)
+        try:
+            features = load_features(path)
+        except FeatureFileError:
+            return
+        t, c = struct.unpack_from("<II", data, 6)
+        assert features.shape == (t, c)
+        assert features.dtype == np.float32

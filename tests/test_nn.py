@@ -1,12 +1,12 @@
 import inspect
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_bytes
 from oracles import finite_difference, naive_lstm, relative_error
 from phonoscribe.nn import (
     AdamW,
@@ -568,25 +568,43 @@ class TestModel:
         optimizer = AdamW(model.parameters())
         x = rng64(71).normal(size=(4, 200, 8)).astype(np.float32)
 
-        def array_bytes():
-            snapshot = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-            return sum(trace.size for trace in snapshot.traces)
-
-        tracemalloc.start()
-        try:
-            before = array_bytes()
+        with numpy_bytes() as usage:
             logits = model.forward(x, train=True, step=0)
-            activations = array_bytes() - before
+            activations, _ = usage()
             model.backward(np.ones_like(logits))
             del logits
             optimizer.step(model.gradients())
-            held = array_bytes() - before
-        finally:
-            tracemalloc.stop()
+            held, _ = usage()
         grad_bytes = sum(g.nbytes for g in model.gradients().values())
         assert activations > 50 * grad_bytes
         assert held <= grad_bytes
+
+    def test_eval_forward_keeps_no_cache(self):
+        config = ModelConfig(mfcc_coefficients=8, conv_units=8, lstm_units=8,
+                             lstm_dropout=0.3)
+        model = TranscriptionModel(config, rng=rng64(72))
+        x = rng64(73).normal(size=(3, 50, 8)).astype(np.float32)
+        with numpy_bytes() as usage:
+            logits = model.forward(x, train=False)
+            held, _ = usage()
+        assert held == logits.nbytes
+        for name, layer in model._layers:
+            assert layer._cache is None, name
+
+    def test_eval_forward_leaves_training_as_it_was(self):
+        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
+                             lstm_dropout=0.5)
+        model = TranscriptionModel(config, rng=rng64(74))
+        twin = TranscriptionModel(config, rng=rng64(74))
+        x = rng64(75).normal(size=(2, 9, 6)).astype(np.float32)
+        dlogits = rng64(76).normal(size=(2, 9, 38)).astype(np.float32)
+        model.forward(x, train=False)
+        for m in (model, twin):
+            m.forward(x, train=True, step=4)
+            m.backward(dlogits)
+        grads = model.gradients()
+        for key, value in twin.gradients().items():
+            assert np.array_equal(grads[key], value), key
 
 
 class TestLayerProtocol:
@@ -600,6 +618,20 @@ class TestLayerProtocol:
             params = list(inspect.signature(cls.forward).parameters.values())
             assert [p.name for p in params] == ["self", "x", "ctx"], cls
             assert params[2].default is None, cls
+
+    def test_each_layer_keeps_its_backward_cache_in_one_attribute(self):
+        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
+                             lstm_dropout=0.5)
+        model = TranscriptionModel(config, rng=rng64(77))
+        h = rng64(78).normal(size=(2, 5, 6)).astype(np.float32)
+        for name, layer in model._layers:
+            assert layer._cache is None, name
+            h = layer.forward(h, TRAIN)
+            assert layer._cache is not None, name
+        dy = np.ones_like(h)
+        for name, layer in reversed(model._layers):
+            dy = layer.backward(dy)
+            assert layer._cache is None, name
 
     def test_dicts_belong_to_the_instance(self):
         model = TranscriptionModel(self.CONFIG)
@@ -720,6 +752,19 @@ class TestCheckpointFile:
         assert not loaded["w"].flags.writeable
         with pytest.raises(ValueError):
             loaded["w"][0, 0] = 2.0
+
+    def test_copied_arrays_read_the_same_after_their_pages_are_dropped(
+            self, tmp_path):
+        model = TranscriptionModel(ModelConfig(mfcc_coefficients=6, conv_units=8,
+                                               lstm_units=8), rng=rng64(79))
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {}, model.parameters())
+        _, loaded = load_checkpoint(path)
+        twin = TranscriptionModel(model.config)
+        twin.load_arrays(loaded)
+        for key, value in model.parameters().items():
+            assert np.array_equal(twin.parameters()[key], value), key
+            assert np.array_equal(loaded[key], value), key
 
     def test_magic(self, tmp_path):
         path = tmp_path / "x.phck"
