@@ -4,7 +4,8 @@ Commands mirror the corpus workflow: filter a manifest, fetch audio,
 featurize, train, evaluate, transcribe single files, list suspect samples.
 Machine-readable output goes to stdout (TSV lines or JSON), diagnostics to
 stderr. Exit codes: 0 success, 1 operational failure, 2 usage or parse
-error. A JSON config file can preset training options; explicit flags win.
+error. A JSON config file presets the settings; featurize and train read
+and check it the same way, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,20 +22,43 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+CONFIG_BLOCKS = ("train", "model", "norm", "features")
+TRAIN_FLAGS = ("batch_size", "epochs", "eval_batches", "seed", "lr",
+               "stop_at_eval_accuracy")
+
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            config = json.load(f)
-        except ValueError as e:  # not UTF-8, or not JSON
-            raise training.ConfigError(f"config file {path} is not JSON: {e}") from e
-    return training.require_object(config, f"config file {path}")
+def read_config(path: str | None, norm_path: Path | None = None,
+                overrides: dict | None = None) -> training.TrainConfig:
+    """The settings of a ``--config`` file, checked whole by
+    ``TrainConfig.from_dict``: its train block (with ``overrides`` laid over
+    it) and its model, norm and features blocks. Without a norm block, the
+    norm comes from ``norm_path`` if that file exists. An unknown top-level
+    block is a ConfigError naming it."""
+    file_config = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                file_config = json.load(f)
+            except ValueError as e:  # not UTF-8, or not JSON
+                raise training.ConfigError(
+                    f"config file {path} is not JSON: {e}") from e
+    training.require_object(file_config, f"config file {path}")
+    unknown = sorted(set(file_config) - set(CONFIG_BLOCKS))
+    if unknown:
+        raise training.ConfigError(f"unknown config block(s): {', '.join(unknown)}")
+    settings = dict(training.require_object(file_config.get("train", {}),
+                                            "the train block"))
+    settings.update((block, file_config[block]) for block in CONFIG_BLOCKS[1:]
+                    if block in file_config)
+    if "norm" not in settings and norm_path is not None and norm_path.exists():
+        with open(norm_path, "r", encoding="utf-8") as f:
+            settings["norm"] = json.load(f)
+    settings.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return training.TrainConfig.from_dict(settings)
 
 
 def cmd_filter(args) -> int:
@@ -88,9 +112,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    file_config = _load_config_file(args.config)
-    feature_config = training.parse_settings(
-        dsp.FeatureConfig, file_config.get("features", {}), "features")
+    config = read_config(args.config)
     samples = corpus.read_samples_csv(args.samples)
     cache = Path(args.cache)
     out_dir = Path(args.out)
@@ -99,7 +121,7 @@ def cmd_featurize(args) -> int:
     def write_features():
         for sample in samples:
             features = training.wav_features(cache / sample.audio_filename,
-                                             feature_config)
+                                             config.features)
             dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
             print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
             yield features
@@ -109,9 +131,7 @@ def cmd_featurize(args) -> int:
     else:
         for _ in write_features():
             pass
-        norm_settings = file_config.get("norm")
-        norm = (training.parse_settings(dsp.FeatureNorm, norm_settings, "norm")
-                if norm_settings else dsp.DEFAULT_NORM)
+        norm = config.norm
     with open(out_dir / "norm.json", "w", encoding="utf-8") as f:
         json.dump({"mean": norm.mean, "std": norm.std}, f, sort_keys=True)
     _err(f"featurized {len(samples)} file(s); norm mean={norm.mean} std={norm.std}")
@@ -134,30 +154,9 @@ def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample
     return out
 
 
-def _build_train_config(args) -> training.TrainConfig:
-    file_config = _load_config_file(args.config)
-    settings = dict(training.require_object(file_config.get("train", {}),
-                                            "the train block"))
-    for block in ("model", "norm", "features"):
-        if block in file_config:
-            settings[block] = file_config[block]
-
-    norm_path = Path(args.features) / "norm.json"
-    if "norm" not in settings and norm_path.exists():
-        with open(norm_path, "r", encoding="utf-8") as f:
-            settings["norm"] = json.load(f)
-
-    for flag in ("batch_size", "epochs", "eval_batches", "seed", "lr"):
-        value = getattr(args, flag)
-        if value is not None:
-            settings[flag] = value
-    if args.stop_at_accuracy is not None:
-        settings["stop_at_eval_accuracy"] = args.stop_at_accuracy
-    return training.TrainConfig.from_dict(settings)
-
-
 def cmd_train(args) -> int:
-    config = _build_train_config(args)
+    config = read_config(args.config, Path(args.features) / "norm.json",
+                         {flag: getattr(args, flag) for flag in TRAIN_FLAGS})
     samples = load_featurized(args.samples, args.features)
     resume = training.Checkpoint.load(args.resume) if args.resume else None
     _, metrics = training.train_run(
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--eval-batches", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--stop-at-accuracy", type=float)
+    p.add_argument("--stop-at-accuracy", type=float, dest="stop_at_eval_accuracy")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")

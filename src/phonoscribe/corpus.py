@@ -227,6 +227,10 @@ def _urllib_transport(url: str, timeout: float = 30.0) -> bytes:
         raise FetchTimeoutError(url) from e
 
 
+FETCH_ATTEMPTS = 3
+FETCH_BACKOFF_SECONDS = 0.5  # before the first retry; doubles per retry
+
+
 class Fetcher:
     """Cached, rate-limited downloader with retry.
 
@@ -239,15 +243,11 @@ class Fetcher:
         self,
         transport: Callable[[str], bytes] | None = None,
         min_interval: float = 0.0,
-        max_attempts: int = 3,
-        backoff: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.transport = transport or _urllib_transport
         self.min_interval = min_interval
-        self.max_attempts = max_attempts
-        self.backoff = backoff
         self.sleep = sleep
         self.clock = clock
         self._last_request: float | None = None
@@ -279,9 +279,9 @@ class Fetcher:
             return path
 
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(FETCH_ATTEMPTS):
             if attempt > 0:
-                self.sleep(self.backoff * 2 ** (attempt - 1))
+                self.sleep(FETCH_BACKOFF_SECONDS * 2 ** (attempt - 1))
             self._throttle()
             self._last_request = self.clock()
             try:

@@ -17,6 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .settings import is_int, is_real
+
 
 class CorruptHeaderError(ValueError):
     pass
@@ -63,6 +65,35 @@ class FeatureConfig:
     n_coefficients: int = 40
     log_floor: float = 1e-10
 
+    def __post_init__(self):
+        for name in ("sample_rate", "n_fft", "n_mels", "n_coefficients"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        for name in ("clip_seconds", "window_seconds", "hop_seconds", "log_floor"):
+            value = getattr(self, name)
+            if not is_real(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        if self.n_coefficients > self.n_mels:  # the DCT has n_mels distinct rows
+            raise ValueError(f"n_coefficients must be at most n_mels "
+                             f"{self.n_mels}, not {self.n_coefficients!r}")
+        rate = self.sample_rate
+        hop, window, clip = (_samples(seconds, rate) for seconds in (
+            self.hop_seconds, self.window_seconds, self.clip_seconds))
+        if min(hop, window) < 1:
+            raise ValueError(f"hop_seconds {self.hop_seconds!r} and window_seconds "
+                             f"{self.window_seconds!r} must each be at least one "
+                             f"sample at {rate} Hz")
+        if window > min(self.n_fft, clip):
+            raise ValueError(
+                f"window_seconds is {window} samples at {rate} Hz, more than "
+                f"n_fft {self.n_fft} or the {clip}-sample clip")
+
+
+def _samples(seconds: float, rate: int) -> int:
+    """A duration in whole samples at ``rate``."""
+    return round(seconds * rate)
+
 
 @dataclass(frozen=True)
 class FeatureNorm:
@@ -72,8 +103,10 @@ class FeatureNorm:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not is_real(self.mean):
+            raise ValueError(f"mean must be a finite number, not {self.mean!r}")
+        if not is_real(self.std) or self.std <= 0:
+            raise ValueError(f"std must be positive and finite, not {self.std!r}")
 
 
 # Constants observed on the full recording corpus; shipped as the default
@@ -153,7 +186,7 @@ def encode_wav(clip: AudioClip) -> bytes:
 
 def fix_length(clip: AudioClip, seconds: float = 2.0) -> AudioClip:
     """Zero-pad or truncate (both at the end) to exactly round(s * rate)."""
-    n = round(seconds * clip.sample_rate)
+    n = _samples(seconds, clip.sample_rate)
     x = clip.samples
     if len(x) == n:
         return clip
@@ -276,8 +309,8 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray
         raise ConfigError(
             f"clip at {clip.sample_rate} Hz, config expects {config.sample_rate}"
         )
-    window = round(config.window_seconds * config.sample_rate)
-    hop = round(config.hop_seconds * config.sample_rate)
+    window = _samples(config.window_seconds, config.sample_rate)
+    hop = _samples(config.hop_seconds, config.sample_rate)
     frames = frame_signal(clip.samples.astype(np.float64), window, hop)
     frames = frames * hann_window(window)
 

@@ -33,6 +33,12 @@ class DegenerateBatchError(ValueError):
     pass
 
 
+def check_input(x: np.ndarray, channels: int) -> None:
+    """A ShapeMismatchError unless ``x`` is (B, T, ``channels``)."""
+    if x.ndim != 3 or x.shape[2] != channels:
+        raise ShapeMismatchError(f"expected (B, T, {channels}), got {x.shape}")
+
+
 def collect(named_layers, attr: str) -> dict[str, np.ndarray]:
     """``{"name.key": array}`` over the ``attr`` dict of each (name, layer)."""
     return {f"{name}.{key}": value for name, layer in named_layers
@@ -65,9 +71,7 @@ class Conv1d:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.in_channels:
-            raise ShapeMismatchError(
-                f"expected (B, T, {self.in_channels}), got {x.shape}")
+        check_input(x, self.in_channels)
         pad = self.kernel_size // 2
         x_pad = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
         t = x.shape[1]
@@ -130,9 +134,7 @@ class BatchNorm1d:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.channels:
-            raise ShapeMismatchError(
-                f"expected (B, T, {self.channels}), got {x.shape}")
+        check_input(x, self.channels)
         train = ctx is not None
         if train:
             if x.shape[0] * x.shape[1] == 1:
@@ -240,9 +242,7 @@ class Linear:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        if x.shape[-1] != self.in_features:
-            raise ShapeMismatchError(
-                f"expected trailing dim {self.in_features}, got {x.shape}")
+        check_input(x, self.in_features)
         self._cache = x
         return x @ self.params["w"] + self.params["b"]
 

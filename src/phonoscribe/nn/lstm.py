@@ -33,12 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ShapeMismatchError, collect, uniform_init
-
-
-def _check_input(x: np.ndarray, input_size: int) -> None:
-    if x.ndim != 3 or x.shape[2] != input_size:
-        raise ShapeMismatchError(f"expected (B, T, {input_size}), got {x.shape}")
+from .layers import check_input, collect, uniform_init
 
 
 class LSTM:
@@ -64,9 +59,7 @@ class LSTM:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        _check_input(x, self.input_size)
-        hidden = _run(self, (self,), np.ascontiguousarray(x.transpose(1, 0, 2)))
-        return hidden[0, ::self._time_step].transpose(1, 0, 2)
+        return _run(self, (self,), x)[0, ::self._time_step].transpose(1, 0, 2)
 
     def backward(self, dh: np.ndarray) -> np.ndarray:
         return _run_backward(self, (self,), (dh.transpose(1, 0, 2),)).transpose(1, 0, 2)
@@ -87,9 +80,7 @@ class BiLSTM:
         self._cache = None
 
     def forward(self, x: np.ndarray, ctx=None) -> np.ndarray:
-        _check_input(x, self.input_size)
-        hidden = _run(self, (self.fw, self.bw),
-                      np.ascontiguousarray(x.transpose(1, 0, 2)))
+        hidden = _run(self, (self.fw, self.bw), x)
         # Time-major memory, which sets the order of BatchNorm's sums.
         out = np.concatenate([hidden[0], hidden[1, ::-1]], axis=2)
         return out.transpose(1, 0, 2)
@@ -103,9 +94,11 @@ class BiLSTM:
 
 
 def _run(layer, directions, x: np.ndarray) -> np.ndarray:
-    """Time-major x (T, B, I) -> hidden (D, T, B, H), each direction in its
+    """x (B, T, I) -> hidden (D, T, B, H), time-major, each direction in its
     own processing order; leaves on ``layer`` the cache ``_run_backward``
-    consumes."""
+    consumes, which holds a time-major copy of x."""
+    check_input(x, directions[0].input_size)
+    x = np.ascontiguousarray(x.transpose(1, 0, 2))
     t_len, b_sz, n_in = x.shape
     n_dir, hs = len(directions), directions[0].hidden_size
     # Halves the sigmoid columns (i, f, o) and keeps the tanh column (g);

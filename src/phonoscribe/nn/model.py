@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..settings import is_int
 from .checkpoint import copy_into
-from .layers import (BatchNorm1d, Conv1d, Dropout, Linear, ReLU,
-                     ShapeMismatchError, collect)
+from .layers import BatchNorm1d, Conv1d, Dropout, Linear, ReLU, collect
 from .lstm import LSTM, BiLSTM
 
 
@@ -34,6 +34,15 @@ class ModelConfig:
     output_classes: int = 38
 
     def __post_init__(self):
+        for name in ("mfcc_coefficients", "conv_layers", "conv_units",
+                     "conv_kernel", "lstm_layers", "lstm_units", "output_classes"):
+            if not is_int(getattr(self, name)):
+                raise TypeError(
+                    f"{name} must be an integer, not {getattr(self, name)!r}")
+        for name in ("conv_batchnorm", "lstm_bidirectional", "lstm_batchnorm"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(
+                    f"{name} must be true or false, not {getattr(self, name)!r}")
         if min(self.mfcc_coefficients, self.conv_units, self.lstm_units,
                self.output_classes) <= 0:
             raise ValueError("all sizes must be positive")
@@ -95,8 +104,6 @@ class TranscriptionModel:
 
         In eval mode (``train=False``) each layer's backward cache is
         dropped as soon as the layer has returned: no backward follows."""
-        if x.ndim != 3:
-            raise ShapeMismatchError(f"expected (B, T, C), got {x.shape}")
         ctx = (self.dropout_seed, step) if train else None
         for _, layer in self._layers:
             x = layer.forward(x, ctx)

@@ -35,9 +35,7 @@ class AdamW:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             if g.shape != p.shape:
                 raise ShapeMismatchError(
                     f"{name}: grad {g.shape} vs param {p.shape}")

@@ -1,0 +1,19 @@
+"""Value checks shared by the settings classes (``ModelConfig``,
+``FeatureConfig``, ``FeatureNorm``, ``TrainConfig``). Settings arrive as
+JSON, from a config file or a checkpoint's meta, where true, 2.5, "3" or
+1e999 can stand wherever an integer or a number is meant."""
+
+from __future__ import annotations
+
+import sys
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int or float, not a bool, that is finite as a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)

@@ -11,7 +11,6 @@ from a checkpoint replays exactly.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -24,6 +23,7 @@ from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
 from .nn import (AdamW, CheckpointError, ModelConfig, TranscriptionModel,
                  load_checkpoint, save_checkpoint)
+from .settings import is_int, is_real
 
 
 class InsufficientSamplesError(ValueError):
@@ -35,9 +35,9 @@ class NumericError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config file or block is not a JSON object, names a field its
-    settings class does not have, holds a value that class rejects, or does
-    not match a resumed checkpoint."""
+    """A config file or block is not a JSON object, names a block or a
+    field that does not exist, holds a value its settings class rejects, or
+    does not match a resumed checkpoint."""
 
 
 def require_object(value, what: str) -> dict:
@@ -57,7 +57,7 @@ def parse_settings(cls, d: dict, block: str):
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
     try:
         return cls(**d)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"invalid {block} block: {e}") from e
 
 
@@ -77,10 +77,6 @@ class FeaturizedSample:
     features: np.ndarray  # (T, C), unstandardized
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class TrainConfig:
     batch_size: int = 20
@@ -98,25 +94,30 @@ class TrainConfig:
         for name, least in (("batch_size", 1), ("epochs", 0),
                             ("eval_batches", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            if not is_int(value) or value < least:
                 raise ValueError(
                     f"{name} must be an integer >= {least}, not {value!r}")
-        if not _is_real(self.lr) or not 0.0 < self.lr < math.inf:
+        if not is_real(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be positive and finite, not {self.lr!r}")
-        if not _is_real(self.weight_decay) or not self.weight_decay >= 0.0:
+        if not is_real(self.weight_decay) or self.weight_decay < 0:
             raise ValueError(
-                f"weight_decay must be >= 0, not {self.weight_decay!r}")
+                f"weight_decay must be >= 0 and finite, not {self.weight_decay!r}")
         accuracy = self.stop_at_eval_accuracy
-        if accuracy is not None and not (_is_real(accuracy) and 0.0 <= accuracy <= 1.0):
+        if accuracy is not None and not (is_real(accuracy) and 0.0 <= accuracy <= 1.0):
             raise ValueError(
                 f"stop_at_eval_accuracy must be in [0, 1], not {accuracy!r}")
+        classes = len(INVENTORY) + 1  # the phonemes and the CTC blank
+        if self.model.output_classes != classes:
+            raise ValueError(f"model output_classes must be {classes}, one per "
+                             "phoneme of the inventory and the CTC blank, not "
+                             f"{self.model.output_classes!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
+        d = dict(require_object(d, "the train block"))
         for block, settings_cls in (("model", ModelConfig), ("norm", FeatureNorm),
                                     ("features", FeatureConfig)):
             if block in d:
@@ -183,14 +184,21 @@ class Checkpoint:
             prefix, _, name = key.partition("/")
             sections.setdefault(prefix, {})[name] = value
         progress = meta.get("progress", {})
+        if not isinstance(progress, dict):
+            raise CheckpointError(f"{path}: the meta's progress must be a JSON "
+                                  f"object, not {type(progress).__name__}")
+        counts = {name: progress.get(name, 0)
+                  for name in ("epoch", "step", "optimizer_t")}
+        for name, value in counts.items():
+            if not is_int(value) or value < 0:
+                raise CheckpointError(f"{path}: progress {name} must be an "
+                                      f"integer >= 0, not {value!r}")
         return cls(
             config=config,
             params=sections["param"],
             buffers=sections["buffer"],
             optimizer=sections["opt"] or None,
-            optimizer_t=progress.get("optimizer_t", 0),
-            epoch=progress.get("epoch", 0),
-            step=progress.get("step", 0),
+            **counts,
         )
 
     def build_model(self) -> TranscriptionModel:

@@ -148,6 +148,36 @@ def make_wav(path, seconds=2.0, rate=16000, freq=440.0):
     path.write_bytes(dsp.encode_wav(clip))
 
 
+# (block, field, value, message): config settings that `featurize` and
+# `train` both reject before they read a sample.
+INVALID_SETTINGS = [
+    ("modle", "lstm_units", 8, "unknown config block(s): modle"),
+    ("model", "output_classes", 40, "model output_classes must be 38"),
+    ("norm", "mean", "x", "mean must be a finite number, not 'x'"),
+    ("norm", "mean", None, "mean must be a finite number, not None"),
+    ("norm", "std", 0, "std must be positive and finite"),
+    ("norm", "std", float("inf"), "std must be positive and finite"),
+    ("features", "n_mels", 2.0, "n_mels must be an integer >= 1"),
+    ("features", "sample_rate", 0, "sample_rate must be an integer >= 1"),
+    ("features", "n_coefficients", 65, "n_coefficients must be at most n_mels 64"),
+    ("features", "hop_seconds", 0, "hop_seconds must be positive and finite"),
+    ("features", "log_floor", float("nan"), "log_floor must be positive"),
+    ("features", "hop_seconds", 1e-5, "must each be at least one sample at 16000 Hz"),
+    ("features", "window_seconds", 0.05,
+     "window_seconds is 800 samples at 16000 Hz, more than n_fft 512"),
+    ("features", "clip_seconds", 0.01, "more than n_fft 512 or the 160-sample clip"),
+]
+
+
+def invalid_config_file(tmp_path, block, field, value):
+    config = json.loads(tiny_config_file(tmp_path).read_text())
+    config["norm"] = {"mean": 0.0, "std": 1.0}
+    config.setdefault(block, {})[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 class TestFeaturizeCommand:
     def test_writes_features_and_computed_norm(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -222,6 +252,19 @@ class TestFeaturizeCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("block, field, value, message", INVALID_SETTINGS)
+    def test_invalid_config_exits_two_before_reading_samples(
+            self, tmp_path, capsys, block, field, value, message):
+        path = invalid_config_file(tmp_path, block, field, value)
+        # The samples CSV does not exist, so reading it would exit 1.
+        assert run(["featurize", "--samples", tmp_path / "missing.csv",
+                    "--cache", tmp_path, "--out", tmp_path / "features",
+                    "--norm", "use", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "features").exists()
 
     def test_unreadable_wav_exits_one(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -401,7 +444,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
-        ("conv_activation", "tanh"), ("conv_layers", -1)])
+        ("conv_activation", "tanh"), ("conv_layers", -1), ("lstm_units", 2.5),
+        ("conv_kernel", 3.0), ("conv_batchnorm", "no")])
     def test_invalid_model_value_exits_two_before_reading_samples(
             self, tmp_path, capsys, field, value):
         config = json.loads(tiny_config_file(tmp_path).read_text())
@@ -446,6 +490,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "invalid train block" in err and message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("block, field, value, message", INVALID_SETTINGS)
+    def test_invalid_config_exits_two_before_reading_samples(
+            self, tmp_path, capsys, block, field, value, message):
+        path = invalid_config_file(tmp_path, block, field, value)
+        # Neither input exists, so reading one would exit 1.
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
         assert not (tmp_path / "run").exists()
 
     def test_invalid_train_flag_exits_two(self, tmp_path, capsys):
@@ -692,6 +749,25 @@ class TestInferCommand:
         make_wav(wav)
         assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
         assert "train_config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("progress", [
+        [1], "epoch 3", {"epoch": "3"}, {"step": -1}, {"optimizer_t": True}],
+        ids=["list", "string", "string-epoch", "negative-step", "bool-t"])
+    def test_bad_progress_exits_one(self, tmp_path, capsys, command, progress):
+        checkpoint = tmp_path / "model.phck"
+        save_checkpoint(checkpoint, {"train_config": TrainConfig().to_dict(),
+                                     "progress": progress}, {})
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        samples, features = featurized_fixture(tmp_path)
+        args = ([wav] if command == "infer" else
+                ["--samples", samples, "--features", features,
+                 "--report-dir", tmp_path / "report"])
+        assert run([command, "--checkpoint", checkpoint, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(checkpoint) in err and "progress" in err
 
     def test_array_name_past_the_end_exits_one(self, tmp_path, capsys):
         # the name field claims 8 bytes; the file ends after the first

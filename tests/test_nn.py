@@ -443,6 +443,11 @@ class TestAdamW:
             w = w - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(p["w"], w, atol=1e-12)
 
+    def test_missing_gradient_is_an_error(self):
+        opt = AdamW({"v": np.ones(2), "w": np.ones(3)})
+        with pytest.raises(KeyError, match="w"):
+            opt.step({"v": np.ones(2)})
+
     def test_shape_mismatch(self):
         opt = AdamW({"w": np.ones(3)})
         with pytest.raises(ShapeMismatchError):
@@ -633,6 +638,17 @@ class TestLayerProtocol:
             dy = layer.backward(dy)
             assert layer._cache is None, name
 
+    @pytest.mark.parametrize("make", [
+        lambda: Conv1d(3, 2, 3), lambda: BatchNorm1d(3), lambda: Linear(3, 2),
+        lambda: LSTM(3, 4), lambda: BiLSTM(3, 4)],
+        ids=["conv", "batchnorm", "linear", "lstm", "bilstm"])
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 5, 4), (2, 5, 3, 1)])
+    def test_every_layer_with_weights_checks_its_input(self, make, shape):
+        layer = make()
+        with pytest.raises(ShapeMismatchError, match=r"expected \(B, T, 3\)"):
+            layer.forward(np.zeros(shape, dtype=np.float32))
+        assert layer.forward(np.zeros((2, 5, 3), dtype=np.float32)).shape[:2] == (2, 5)
+
     def test_dicts_belong_to_the_instance(self):
         model = TranscriptionModel(self.CONFIG)
         twin = TranscriptionModel(self.CONFIG)
@@ -667,7 +683,10 @@ class TestModelConfig:
             ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3")])
+        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3"),
+        ("lstm_units", 2.5), ("conv_kernel", 3.0), ("conv_layers", True),
+        ("output_classes", 38.0), ("conv_batchnorm", "no"),
+        ("lstm_bidirectional", 1), ("lstm_batchnorm", None)])
     def test_rejects_non_numbers(self, field, value):
         with pytest.raises(TypeError):
             ModelConfig(**{field: value})

@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phonoscribe import ctc, dsp
-from phonoscribe.dsp import FeatureNorm
+from phonoscribe.dsp import FeatureConfig, FeatureNorm
 from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
                             save_checkpoint)
 from phonoscribe.training import (
@@ -28,6 +30,24 @@ from phonoscribe.training import (
 TINY_MODEL = ModelConfig(mfcc_coefficients=8, conv_units=8, conv_kernel=3,
                          lstm_units=8, lstm_dropout=0.0)
 IDENTITY_NORM = FeatureNorm(mean=0.0, std=1.0)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6)
+# Arbitrary JSON, plus values near the valid ranges so that checks past the
+# type checks are reached too.
+SETTING_VALUES = JSON_VALUES | st.integers(-2, 600) | st.floats(-1.0, 2.0)
+
+
+def json_block(names):
+    """An object mapping some of ``names`` to arbitrary JSON values."""
+    return st.dictionaries(st.sampled_from(names), SETTING_VALUES, max_size=len(names))
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def toy_samples(count, t_len=12, n_features=8, seed=0, label_pool=(0, 1, 2)):
@@ -255,6 +275,23 @@ class TestTrainingLossTrend:
         assert violations <= max(1, len(losses) // 10)
 
 
+class TestTrainConfigFromDict:
+    @settings(max_examples=500, deadline=None)
+    @given(d=st.fixed_dictionaries({}, optional={
+        **{name: SETTING_VALUES for name in field_names(TrainConfig)
+           if name not in ("model", "norm", "features")},
+        "model": json_block(field_names(ModelConfig)),
+        "norm": json_block(field_names(FeatureNorm)),
+        "features": json_block(field_names(FeatureConfig)),
+    }))
+    def test_returns_a_config_or_raises_config_error(self, d):
+        try:
+            config = TrainConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert TrainConfig.from_dict(config.to_dict()) == config
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_rebuilds_model(self, tmp_path):
         samples = toy_samples(12)
@@ -281,7 +318,8 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
-        ("conv_activation", "tanh"), ("conv_layers", -1)])
+        ("conv_activation", "tanh"), ("conv_layers", -1), ("lstm_units", 2.5),
+        ("conv_batchnorm", "no")])
     def test_meta_with_invalid_model_value_rejected(self, tmp_path, field,
                                                     value):
         train_config = tiny_config().to_dict()
@@ -292,6 +330,56 @@ class TestCheckpointRoundTrip:
             Checkpoint.load(path)
         assert str(path) in str(excinfo.value)
         assert "invalid model block" in str(excinfo.value)
+
+    @pytest.mark.parametrize("block, field, value, message", [
+        ("model", "output_classes", 40, "model output_classes must be 38"),
+        ("norm", "mean", None, "invalid norm block"),
+        ("norm", "std", -1.0, "invalid norm block"),
+        ("features", "hop_seconds", 0, "invalid features block"),
+        ("features", "window_seconds", 0.05, "invalid features block")])
+    def test_meta_with_invalid_settings_rejected(self, tmp_path, block, field,
+                                                 value, message):
+        train_config = tiny_config().to_dict()
+        train_config[block][field] = value
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {"train_config": train_config}, {})
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(path)
+        assert str(path) in str(excinfo.value)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("progress, message", [
+        ([1], "progress must be a JSON object, not list"),
+        ("x", "progress must be a JSON object, not str"),
+        ({"epoch": "3"}, "progress epoch must be an integer >= 0, not '3'"),
+        ({"epoch": 1.0}, "progress epoch must be an integer >= 0"),
+        ({"step": -1}, "progress step must be an integer >= 0, not -1"),
+        ({"optimizer_t": True}, "progress optimizer_t must be an integer >= 0"),
+    ])
+    def test_meta_with_invalid_progress_rejected(self, tmp_path, progress,
+                                                 message):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {"train_config": tiny_config().to_dict(),
+                               "progress": progress}, {})
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(path)
+        assert str(path) in str(excinfo.value)
+        assert message in str(excinfo.value)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(meta=JSON_VALUES | st.fixed_dictionaries(
+        {"train_config": st.just(tiny_config().to_dict())},
+        optional={"progress": JSON_VALUES | json_block(
+            ["epoch", "step", "optimizer_t"])}))
+    def test_arbitrary_meta_loads_or_is_rejected(self, tmp_path, meta):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, meta, {})
+        try:
+            checkpoint = Checkpoint.load(path)
+        except CheckpointError:
+            return
+        assert min(checkpoint.epoch, checkpoint.step, checkpoint.optimizer_t) >= 0
 
     def test_optimizer_state_preserved(self, tmp_path):
         samples = toy_samples(12)
