@@ -78,6 +78,18 @@ class FeatureConfig:
             raise ValueError(f"n_coefficients must be at most n_mels "
                              f"{self.n_mels}, not {self.n_coefficients!r}")
         rate = self.sample_rate
+        # Mel bands widen with frequency, and an open band wider than the
+        # bin spacing holds a bin. So every filter of mel_filterbank has a
+        # nonzero weight iff the lowest band, from 0 Hz to the third mel
+        # edge (computed as mel_filterbank does), passes the first bin
+        # above 0 Hz.
+        step = _hz_to_mel(rate / 2.0) / (self.n_mels + 1)
+        lowest_top = _mel_to_hz(np.arange(3) * step)[2]
+        if lowest_top <= rate / self.n_fft:
+            raise ValueError(
+                f"n_mels {self.n_mels} is too many for n_fft {self.n_fft} at "
+                f"{rate} Hz: the lowest mel filter, 0-{lowest_top:.1f} Hz, covers "
+                f"no FFT bin (spacing {rate / self.n_fft:.1f} Hz)")
         hop, window, clip = (_samples(seconds, rate) for seconds in (
             self.hop_seconds, self.window_seconds, self.clip_seconds))
         if min(hop, window) < 1:

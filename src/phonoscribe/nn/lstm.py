@@ -18,6 +18,17 @@ GEMMs use, with no copy; the cell state and the backward factors are
 step-major, (T, D, B, H), and a step's gates are worked out in one
 contiguous (D, B, 4H) buffer.
 
+The per-step recurrent GEMMs, h_{t-1} @ wh forward and the gate
+gradients @ wh.T backward, run in one of two operand orders, chosen from
+(B, H) alone by ``_weights_left``. Rows-left, as written, runs at B=1
+(the eval and infer path) and for small layers (the acceptance-gate
+size). Weights-left, (wh.T @ h_{t-1}.T).T, runs once B >= 2, H >= 256 and
+a step's product passes 10**6 multiply-adds per direction, as at the
+shipped size (B=20, H=512), where BLAS runs it in about two thirds of the
+time. Its forward keeps the halved wh transposed, (4H, H), and each
+step's product goes into a (D, 4H, B) buffer that is added, transposed,
+into the step's gate buffer; its backward writes dh into a (D, H, B) one.
+
 The input projection for all timesteps is one matrix product per
 direction; the loop only adds h_{t-1} @ wh, then takes one tanh over all
 four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)), with the halving
@@ -34,6 +45,24 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import check_input, collect, uniform_init
+
+# The per-step recurrent GEMM rows @ w, rows (B, K) and w (K, N), also
+# runs as (w.T @ rows.T).T, weights-left. On OpenBLAS 0.3.31 (one thread,
+# float32, T=198, both directions) weights-left took 0.60-0.89 of the time
+# and gave the same bytes once H >= 256 and B·H·4H > 10**6. Below that
+# product BLAS takes its small-matrix kernels, where weights-left took up
+# to 1.6x as long (H=256, B=2); at H <= 192 it tied or lost at every B (up
+# to 2.05x). At B=1 the product is a matrix-vector one: a tie, not the same
+# bytes. The choice reads shapes only, so every run of a shape does the
+# same arithmetic.
+WEIGHTS_LEFT_MIN_HIDDEN = 256
+WEIGHTS_LEFT_MIN_MACS = 10**6
+
+
+def _weights_left(b_sz: int, hs: int) -> bool:
+    """Whether the recurrent GEMMs of a (b_sz, hs) run put the weights left."""
+    return (b_sz >= 2 and hs >= WEIGHTS_LEFT_MIN_HIDDEN
+            and b_sz * hs * 4 * hs > WEIGHTS_LEFT_MIN_MACS)
 
 
 class LSTM:
@@ -108,7 +137,10 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     shift = 1.0 - half
 
     gates = np.empty((n_dir, t_len, b_sz, 4 * hs), dtype=x.dtype)
-    wh_half = np.empty((n_dir, hs, 4 * hs), dtype=x.dtype)
+    weights_left = _weights_left(b_sz, hs)
+    # wh_half[d] is the halved wh; weights-left stores its transpose.
+    wh_half = np.empty((n_dir, 4 * hs, hs) if weights_left else (n_dir, hs, 4 * hs),
+                       dtype=x.dtype)
     half_row = half[0, 0]
     for d, lstm in enumerate(directions):
         # For bw the rows in processing order are a copy that lives only
@@ -119,18 +151,27 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
                   out=gates[d].reshape(-1, 4 * hs))
         gates[d] += lstm.params["b"]
         gates[d] *= half_row
-        np.multiply(lstm.params["wh"], half_row, out=wh_half[d])
+        if weights_left:
+            np.multiply(lstm.params["wh"].T, half_row[:, None], out=wh_half[d])
+        else:
+            np.multiply(lstm.params["wh"], half_row, out=wh_half[d])
 
     cells = np.empty((t_len, n_dir, b_sz, hs), dtype=x.dtype)
     hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
     # One step's gates, contiguous; stored into the cache once done.
     a = np.empty((n_dir, b_sz, 4 * hs), dtype=x.dtype)
     i, f, g, o = a.reshape(n_dir, b_sz, 4, hs).transpose(2, 0, 1, 3)
+    if weights_left:
+        a_t = np.empty((n_dir, 4 * hs, b_sz), dtype=x.dtype)  # a, transposed
     tanh_c = np.empty((n_dir, b_sz, hs), dtype=x.dtype)  # backward recomputes it
     h_prev = c_prev = np.zeros((n_dir, b_sz, hs), dtype=x.dtype)
     for s in range(t_len):
-        np.matmul(h_prev, wh_half, out=a)
-        a += gates[:, s]
+        if weights_left:
+            np.matmul(wh_half, h_prev.transpose(0, 2, 1), out=a_t)
+            np.add(a_t.transpose(0, 2, 1), gates[:, s], out=a)
+        else:
+            np.matmul(h_prev, wh_half, out=a)
+            a += gates[:, s]
         np.tanh(a, out=a)
         a *= half
         a += shift
@@ -190,9 +231,15 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
         dh_out[:, d] = dy[::lstm._time_step]
 
     d_ifg = gates_by_step[:, :, :, :3]
-    wh_t = np.ascontiguousarray(np.stack([lstm.params["wh"].T for lstm in directions]))
     dh = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
-    dh_next = np.zeros_like(dh)
+    weights_left = _weights_left(b_sz, hs)
+    if weights_left:
+        wh = np.stack([lstm.params["wh"] for lstm in directions])
+        dh_next_t = np.zeros((n_dir, hs, b_sz), dtype=x.dtype)
+        dh_next = dh_next_t.transpose(0, 2, 1)
+    else:
+        wh_t = np.ascontiguousarray(np.stack([lstm.params["wh"].T for lstm in directions]))
+        dh_next = np.zeros_like(dh)
     dc = np.zeros_like(dh)
     dc_per_gate = dc[:, :, None]
     work = np.empty_like(dh)
@@ -202,7 +249,10 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
         np.multiply(dh, dc_from_dh[s], out=work)
         dc += work
         d_ifg[s] *= dc_per_gate
-        np.matmul(gates[:, s], wh_t, out=dh_next)
+        if weights_left:
+            np.matmul(wh, gates[:, s].transpose(0, 2, 1), out=dh_next_t)
+        else:
+            np.matmul(gates[:, s], wh_t, out=dh_next)
         dc *= f_kept[s]
     del cells, tanh_c, spare, f_kept, d_o, dc_from_dh, dh_out  # free before the GEMMs
 

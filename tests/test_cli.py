@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phonoscribe import analysis, cli, corpus, dsp
 from phonoscribe.cli import main
@@ -160,6 +162,7 @@ INVALID_SETTINGS = [
     ("features", "n_mels", 2.0, "n_mels must be an integer >= 1"),
     ("features", "sample_rate", 0, "sample_rate must be an integer >= 1"),
     ("features", "n_coefficients", 65, "n_coefficients must be at most n_mels 64"),
+    ("features", "n_mels", 128, "the lowest mel filter, 0-27.9 Hz, covers no FFT bin"),
     ("features", "hop_seconds", 0, "hop_seconds must be positive and finite"),
     ("features", "log_floor", float("nan"), "log_floor must be positive"),
     ("features", "hop_seconds", 1e-5, "must each be at least one sample at 16000 Hz"),
@@ -925,6 +928,66 @@ class TestBadSamplesCsv:
         assert err.startswith("error: ")
         if defect == "oversized-field":
             assert err.startswith("error: line 2: ")
+
+
+def mutation(data, raw: bytes) -> bytes:
+    """``raw`` with one to four bytes overwritten, half of them within the
+    first KiB (headers and meta), then possibly truncated."""
+    n = len(raw)
+    at = st.one_of(st.integers(0, min(n, 1024) - 1), st.integers(0, n - 1))
+    mutated = bytearray(raw)
+    for i, value in data.draw(st.lists(st.tuples(at, st.integers(0, 255)),
+                                       min_size=1, max_size=4)):
+        mutated[i] = value
+    return bytes(mutated[:data.draw(st.one_of(st.just(n), st.integers(0, n)))])
+
+
+def assert_clean_exit(code, err):
+    """Exit 0 with nothing on stderr, or 1 or 2 with one stderr line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert err.count("\n") == 1, err
+
+
+class TestCorruptFiles:
+    """Mutated input files end in an exit code, never in a traceback."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_infer_with_a_mutated_checkpoint(self, tmp_path, capsys, data):
+        good, wav = tmp_path / "good", tmp_path / "a.wav"
+        if not good.exists():
+            good.mkdir()
+            zero_checkpoint(good, mfcc_coefficients=40)
+            make_wav(wav, seconds=0.5)
+        checkpoint = tmp_path / "model.phck"
+        checkpoint.write_bytes(mutation(data, (good / "model.phck").read_bytes()))
+        capsys.readouterr()
+        code = run(["infer", "--checkpoint", checkpoint, wav])
+        assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_with_a_mutated_feature_file(self, tmp_path, capsys, data):
+        checkpoint = tmp_path / "model.phck"
+        if not checkpoint.exists():
+            featurized_fixture(tmp_path)
+            zero_checkpoint(tmp_path)
+        path = tmp_path / "features" / "w1.wav.phfm"
+        good = path.with_suffix(".good")
+        if not good.exists():
+            path.rename(good)
+        path.write_bytes(mutation(data, good.read_bytes()))
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", checkpoint,
+                    "--samples", tmp_path / "samples.csv",
+                    "--features", tmp_path / "features",
+                    "--report-dir", tmp_path / "report"])
+        assert_clean_exit(code, capsys.readouterr().err)
 
 
 class TestUsageErrors:

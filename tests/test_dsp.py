@@ -15,6 +15,7 @@ from phonoscribe.dsp import (
     DEFAULT_NORM,
     DegenerateStdError,
     EmptyInputError,
+    FeatureConfig,
     FeatureFileError,
     FeatureNorm,
     UnsupportedFormatError,
@@ -26,6 +27,7 @@ from phonoscribe.dsp import (
     hann_window,
     load_features,
     magnitude_spectrum,
+    mel_filterbank,
     mfcc,
     resample,
     save_features,
@@ -238,6 +240,25 @@ class TestMfcc:
         x = np.zeros(32000)
         frames = frame_signal(x, 400, 160)
         assert frames.shape == (1 + (32000 - 400) // 160, 400)
+
+
+class TestFeatureConfig:
+    @pytest.mark.parametrize("n_fft, rate", [(512, 16000), (256, 8000), (1024, 44100)])
+    def test_rejects_exactly_the_settings_with_an_empty_mel_filter(self, n_fft, rate):
+        empty_rows = {}
+        for n_mels in range(1, 450):
+            empty = int((~mel_filterbank(n_mels, n_fft, rate).any(axis=1)).sum())
+            settings = dict(sample_rate=rate, n_fft=n_fft, n_mels=n_mels,
+                            n_coefficients=1, window_seconds=0.02)
+            if empty:
+                empty_rows[n_mels] = empty
+                with pytest.raises(ValueError, match="covers no FFT bin"):
+                    FeatureConfig(**settings)
+            else:
+                FeatureConfig(**settings)
+        assert empty_rows  # the range reaches past the first empty filter
+        if (n_fft, rate) == (512, 16000):
+            assert (empty_rows[128], empty_rows[200], empty_rows[400]) == (1, 12, 88)
 
 
 class TestNorm:

@@ -26,6 +26,7 @@ from phonoscribe.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from phonoscribe.nn import lstm as lstm_module
 
 GRAD_TOL = 1e-4
 TRAIN = (0, 0)  # a training ctx: the dropout key (seed, step)
@@ -267,6 +268,13 @@ class TestLinear:
 
 
 class TestLSTM:
+    weights_left = False  # the recurrent GEMMs' orientation, forced for every case
+
+    @pytest.fixture(autouse=True)
+    def _orientation(self, monkeypatch):
+        monkeypatch.setattr(lstm_module, "_weights_left",
+                            lambda b_sz, hs: self.weights_left)
+
     def test_zero_weights_give_zero_output(self):
         layer = LSTM(3, 4, dtype=np.float64)
         layer.params["b"][:] = 0.0  # clear the forget-bias preset
@@ -396,6 +404,30 @@ class TestLSTM:
         with pytest.raises(ShapeMismatchError, match=r"expected \(B, T, 3\)"):
             layer.forward(np.zeros(shape))
         assert layer.forward(np.zeros((2, 5, 3))).shape == (2, 5, 8)
+
+
+class TestLSTMWeightsLeft(TestLSTM):
+    """Every ``TestLSTM`` case again with the recurrent GEMMs weights-left,
+    which the shapes here would not pick."""
+
+    weights_left = True
+
+
+class TestRecurrentOrientation:
+    @pytest.mark.parametrize("hs", [1, 64, 256, 512, 1024, 4096])
+    def test_batch_of_one_keeps_rows_left(self, hs):
+        assert not lstm_module._weights_left(1, hs)
+
+    @pytest.mark.parametrize("b_sz, hs, weights_left", [
+        (8, 64, False),     # the gate size
+        (32, 128, False),
+        (3, 256, False),    # 786,432 multiply-adds per direction and step
+        (4, 256, True),     # 1,048,576
+        (2, 512, True),
+        (20, 512, True),    # the shipped size
+    ])
+    def test_choice_by_shape(self, b_sz, hs, weights_left):
+        assert lstm_module._weights_left(b_sz, hs) is weights_left
 
 
 class TestAdamW:
