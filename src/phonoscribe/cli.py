@@ -3,9 +3,10 @@
 Commands mirror the corpus workflow: filter a manifest, fetch audio,
 featurize, train, evaluate, transcribe single files, list suspect samples.
 Machine-readable output goes to stdout (TSV lines or JSON), diagnostics to
-stderr. Exit codes: 0 success, 1 operational failure, 2 usage or parse
-error. A JSON config file presets the settings; featurize and train read
-and check it the same way, and explicit flags win.
+stderr. Exit codes: 0 success, 1 operational failure (a model too large
+to allocate among them), 2 usage or parse error. A JSON config file
+presets the settings; featurize and train read and check it the same way,
+and explicit flags win.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError, MemoryError) as e:
         _err(f"error: {e}")
         return EXIT_USAGE if isinstance(e, training.ConfigError) else EXIT_FAILURE
 

@@ -31,6 +31,9 @@ MEDIA_BASE_URL = "https://upload.wikimedia.org/wikipedia/commons"
 # Rules applied in this fixed order; a rejected (page, audio) pair is
 # attributed to the first rule it fails.
 FILTER_RULES = ("language", "single_ipa", "inventory", "length", "ll_audio")
+LANGUAGE = "fra"
+MIN_PHONEMES = 1
+MAX_PHONEMES = 19
 
 
 class ManifestIoError(OSError):
@@ -56,10 +59,6 @@ class HttpError(Exception):
 
 
 class FetchTimeoutError(Exception):
-    pass
-
-
-class ChecksumMismatchError(Exception):
     pass
 
 
@@ -146,18 +145,14 @@ def extract_speaker(audio_filename: str) -> str:
     return user
 
 
-def filter_samples(
-    pages: Iterable[PageRecord],
-    language: str = "fra",
-    min_phonemes: int = 1,
-    max_phonemes: int = 19,
-) -> tuple[list[SampleRecord], FilterStats]:
+def filter_samples(pages: Iterable[PageRecord]
+                   ) -> tuple[list[SampleRecord], FilterStats]:
     """Apply the corpus restriction rules and expand pages into samples.
 
     One unit of accounting is a (page, audio file) pair. Page-level rules:
-    the language tag must match, the page must carry exactly one IPA
+    the language tag must be LANGUAGE, the page must carry exactly one IPA
     pronunciation, that pronunciation must tokenize against the inventory,
-    and its phoneme count must lie in [min_phonemes, max_phonemes]. Pair
+    and its phoneme count must lie in [MIN_PHONEMES, MAX_PHONEMES]. Pair
     level: the audio file must be an LL recording. A page with one IPA and
     several audio files yields several samples sharing that IPA.
 
@@ -169,7 +164,7 @@ def filter_samples(
     for page in pages:
         page_rule = None
         ipa: PhonemeSeq = []
-        if page.language != language:
+        if page.language != LANGUAGE:
             page_rule = "language"
         elif len(page.ipa_pronunciations) != 1:
             page_rule = "single_ipa"
@@ -179,7 +174,7 @@ def filter_samples(
             except UnknownSymbolError:
                 page_rule = "inventory"
             else:
-                if not min_phonemes <= len(ipa) <= max_phonemes:
+                if not MIN_PHONEMES <= len(ipa) <= MAX_PHONEMES:
                     page_rule = "length"
 
         for audio in page.audio_filenames:
@@ -212,10 +207,15 @@ def resolve_media_url(audio_filename: str) -> str:
     return f"{MEDIA_BASE_URL}/{digest[0]}/{digest[:2]}/{quoted}"
 
 
-def _urllib_transport(url: str, timeout: float = 30.0) -> bytes:
+FETCH_TIMEOUT_SECONDS = 30.0
+FETCH_ATTEMPTS = 3
+FETCH_BACKOFF_SECONDS = 0.5  # before the first retry; doubles per retry
+
+
+def _urllib_transport(url: str) -> bytes:
     req = urllib.request.Request(url, headers={"User-Agent": "phonoscribe/0.1"})
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
+        with urllib.request.urlopen(req, timeout=FETCH_TIMEOUT_SECONDS) as resp:
             return resp.read()
     except urllib.error.HTTPError as e:
         raise HttpError(e.code, url) from e
@@ -225,10 +225,6 @@ def _urllib_transport(url: str, timeout: float = 30.0) -> bytes:
         raise
     except TimeoutError as e:
         raise FetchTimeoutError(url) from e
-
-
-FETCH_ATTEMPTS = 3
-FETCH_BACKOFF_SECONDS = 0.5  # before the first retry; doubles per retry
 
 
 class Fetcher:
@@ -259,21 +255,11 @@ class Fetcher:
         if wait > 0:
             self.sleep(wait)
 
-    def fetch(
-        self,
-        url: str,
-        cache_dir: str | Path,
-        filename: str | None = None,
-        checksum: str | None = None,
-    ) -> Path:
-        """Return a local path for ``url``, downloading only on cache miss.
-
-        ``checksum``, when given, is the expected SHA-256 hex digest.
-        """
+    def fetch(self, url: str, cache_dir: str | Path, filename: str) -> Path:
+        """Return ``cache_dir / filename``, downloading ``url`` there only on
+        a cache miss."""
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        if filename is None:
-            filename = urllib.parse.unquote(url.rsplit("/", 1)[-1])
         path = cache_dir / filename
         if path.exists():
             return path
@@ -289,12 +275,6 @@ class Fetcher:
             except (HttpError, FetchTimeoutError) as e:
                 last_error = e
                 continue
-            if checksum is not None:
-                actual = hashlib.sha256(data).hexdigest()
-                if actual != checksum:
-                    raise ChecksumMismatchError(
-                        f"{filename}: expected {checksum}, got {actual}"
-                    )
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
             tmp.write_bytes(data)
             os.replace(tmp, path)

@@ -9,6 +9,7 @@ floor, orthonormal DCT-II keeping the first 40 coefficients. A 2 s clip at
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -196,7 +197,7 @@ def encode_wav(clip: AudioClip) -> bytes:
     return header + payload
 
 
-def fix_length(clip: AudioClip, seconds: float = 2.0) -> AudioClip:
+def fix_length(clip: AudioClip, seconds: float) -> AudioClip:
     """Zero-pad or truncate (both at the end) to exactly round(s * rate)."""
     n = _samples(seconds, clip.sample_rate)
     x = clip.samples
@@ -238,6 +239,28 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         stop = min(start + RESAMPLE_BLOCK, out_len)
         y[start:stop] = _resampled_block(x, np.arange(start, stop) / ratio, cutoff)
     return AudioClip(target_rate, y)
+
+
+def resample_input(clip: AudioClip, target_rate: int, seconds: float) -> AudioClip:
+    """The head of ``clip`` that the first ``seconds`` of ``resample(clip,
+    target_rate)`` read; the whole clip if it is no longer.
+
+    Resampling the head gives those output samples bit for bit, and at
+    least as many of them, so ``fix_length(resample(...), seconds)`` is
+    unchanged, and its cost no longer grows with the clip's length.
+    """
+    kept = _samples(seconds, target_rate)
+    ratio = target_rate / clip.sample_rate
+    # Output sample j reads input taps floor(j / ratio) - 7 ... + 8, and
+    # the head yields round(n * ratio) output samples: below a ratio of
+    # 1/16 the taps alone can leave fewer than ``kept``.
+    n = max(math.floor((kept - 1) / ratio) + 9,
+            math.ceil((kept - 0.5) / ratio), 0)
+    while int(round(n * ratio)) < kept:
+        n += 1
+    if n >= len(clip.samples):
+        return clip
+    return AudioClip(clip.sample_rate, clip.samples[:n])
 
 
 def _resampled_block(x: np.ndarray, positions: np.ndarray,

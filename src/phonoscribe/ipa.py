@@ -231,8 +231,3 @@ def align(target: PhonemeSeq, predicted: PhonemeSeq) -> EditScript:
             j -= 1
     ops.reverse()
     return ops
-
-
-def script_cost(ops: EditScript) -> int:
-    """Number of non-Match operations in an edit script."""
-    return sum(1 for op in ops if not isinstance(op, Match))

@@ -9,7 +9,7 @@ from .layers import (
     ShapeMismatchError,
 )
 from .lstm import LSTM, BiLSTM
-from .model import ModelConfig, TranscriptionModel, count_params
+from .model import ModelConfig, TranscriptionModel
 from .optim import AdamW
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ReLU",
     "ShapeMismatchError",
     "TranscriptionModel",
-    "count_params",
     "load_checkpoint",
     "save_checkpoint",
 ]

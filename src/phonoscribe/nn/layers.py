@@ -110,18 +110,21 @@ class ReLU:
         return dy * mask
 
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 class BatchNorm1d:
     """Per-channel normalization over the batch and time axes.
 
     Train mode (``ctx`` given) normalizes with batch statistics (population
-    variance) and updates running stats with momentum 0.1; eval mode uses
-    running stats.
+    variance) and updates running stats with ``momentum`` (BN_MOMENTUM);
+    eval mode uses running stats.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
+        self.momentum = BN_MOMENTUM
         self.params = {
             "gamma": np.ones(channels, dtype=dtype),
             "beta": np.zeros(channels, dtype=dtype),
@@ -149,7 +152,7 @@ class BatchNorm1d:
         else:
             mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         # In-place steps below keep the operation order of the plain
         # expressions, so the results match them bit for bit.
         x_hat = x - mean

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..settings import is_int
+from ..settings import is_int, is_real
 from .checkpoint import copy_into
 from .layers import BatchNorm1d, Conv1d, Dropout, Linear, ReLU, collect
 from .lstm import LSTM, BiLSTM
@@ -54,6 +54,9 @@ class ModelConfig:
         if self.conv_activation not in ("relu", "none"):
             raise ValueError("conv_activation must be 'relu' or 'none', "
                              f"not {self.conv_activation!r}")
+        if not is_real(self.lstm_dropout):
+            raise TypeError(
+                f"lstm_dropout must be a finite number, not {self.lstm_dropout!r}")
         if not 0.0 <= self.lstm_dropout < 1.0:
             raise ValueError("lstm_dropout must be in [0, 1)")
 
@@ -62,9 +65,8 @@ class TranscriptionModel:
     """Stateful layer stack; one forward pass, then at most one backward.
 
     ``rng=None`` builds zero-initialized weights (used when loading a
-    checkpoint or counting parameters); pass a Generator to initialize for
-    training. ``dropout_seed`` plus the optimizer step index key the
-    dropout masks.
+    checkpoint); pass a Generator to initialize for training.
+    ``dropout_seed`` plus the optimizer step index key the dropout masks.
     """
 
     def __init__(self, config: ModelConfig, rng=None, dtype=np.float32):
@@ -142,9 +144,3 @@ class TranscriptionModel:
         copy_into(self.parameters(), params, "parameter")
         if buffers is not None:
             copy_into(self.buffers(), buffers, "buffer")
-
-
-def count_params(config: ModelConfig) -> int:
-    """Total trainable elements (running statistics excluded)."""
-    model = TranscriptionModel(config)
-    return sum(v.size for v in model.parameters().values())

@@ -6,7 +6,8 @@ Update per parameter w with gradient g:
     v = b2 * v + (1 - b2) * g^2
     w -= lr * wd * w + lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-Both subtracted terms use the pre-step w. With wd = 0 this is exactly Adam.
+Both subtracted terms use the pre-step w, and b1, b2 and eps are the fixed
+BETA1, BETA2 and EPS below. With wd = 0 this is exactly Adam.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import numpy as np
 from .checkpoint import copy_into
 from .layers import ShapeMismatchError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamW:
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-4, beta1=0.9,
-                 beta2=0.999, eps=1e-8, weight_decay=0.01):
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-4, weight_decay=0.01):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -32,8 +33,8 @@ class AdamW:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
             if g.shape != p.shape:
@@ -42,11 +43,11 @@ class AdamW:
             g = g.astype(p.dtype, copy=False)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if self.weight_decay:
                 update = update + self.lr * self.weight_decay * p
             p -= update

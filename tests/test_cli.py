@@ -109,7 +109,7 @@ def sample_csv(tmp_path, filenames):
 
 class TestFetchCommand:
     def test_all_cached_downloads_nothing(self, tmp_path, capsys, monkeypatch):
-        def explode(url, timeout=30.0):
+        def explode(url):
             raise AssertionError("network touched")
 
         monkeypatch.setattr(corpus, "_urllib_transport", explode)
@@ -121,7 +121,7 @@ class TestFetchCommand:
         assert capsys.readouterr().out == "CACHED\ta.wav\n"
 
     def test_404_listed_in_failures(self, tmp_path, capsys, monkeypatch):
-        def not_found(url, timeout=30.0):
+        def not_found(url):
             raise corpus.HttpError(404, url)
 
         monkeypatch.setattr(corpus, "_urllib_transport", not_found)
@@ -136,7 +136,7 @@ class TestFetchCommand:
     def test_download_written_under_verbatim_name(self, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setattr(corpus, "_urllib_transport",
-                            lambda url, timeout=30.0: b"RIFFdata")
+                            lambda url: b"RIFFdata")
         cache = tmp_path / "cache"
         samples = sample_csv(tmp_path, [BONJOUR_AUDIO])
         assert run(["fetch", "--samples", samples, "--cache", cache]) == 0
@@ -448,7 +448,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
         ("conv_activation", "tanh"), ("conv_layers", -1), ("lstm_units", 2.5),
-        ("conv_kernel", 3.0), ("conv_batchnorm", "no")])
+        ("conv_kernel", 3.0), ("conv_batchnorm", "no"),
+        ("lstm_dropout", False), ("lstm_dropout", "0.5")])
     def test_invalid_model_value_exits_two_before_reading_samples(
             self, tmp_path, capsys, field, value):
         config = json.loads(tiny_config_file(tmp_path).read_text())
@@ -772,6 +773,22 @@ class TestInferCommand:
         assert err.count("\n") == 1
         assert str(checkpoint) in err and "progress" in err
 
+    def test_model_too_large_to_build_exits_one(self, tmp_path, capsys):
+        # The first conv weight alone, 3 x 40 x 2e12 float32, is larger than
+        # the user address space, so its allocation fails before any page
+        # is touched.
+        train_config = TrainConfig().to_dict()
+        train_config["model"]["conv_units"] = 2 * 10**12
+        checkpoint = tmp_path / "big.phck"
+        save_checkpoint(checkpoint, {"train_config": train_config}, {})
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+
     def test_array_name_past_the_end_exits_one(self, tmp_path, capsys):
         # the name field claims 8 bytes; the file ends after the first
         # byte of a two-byte UTF-8 character
@@ -942,10 +959,13 @@ def mutation(data, raw: bytes) -> bytes:
     return bytes(mutated[:data.draw(st.one_of(st.just(n), st.integers(0, n)))])
 
 
-def assert_clean_exit(code, err):
-    """Exit 0 with nothing on stderr, or 1 or 2 with one stderr line."""
+def assert_clean_exit(code, err, ok_lines=0):
+    """Exit 0 with ``ok_lines`` stderr lines (none unless the command
+    reports on success), or 1 or 2 with one stderr line."""
     if code == 0:
-        assert err == ""
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == ok_lines, err
+        assert all(line.endswith("\n") for line in lines), err
     else:
         assert code in (1, 2)
         assert err.count("\n") == 1, err
@@ -988,6 +1008,36 @@ class TestCorruptFiles:
                     "--features", tmp_path / "features",
                     "--report-dir", tmp_path / "report"])
         assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_infer_with_a_mutated_wav(self, tmp_path, capsys, data):
+        good, wav = tmp_path / "good", tmp_path / "a.wav"
+        if not good.exists():
+            good.mkdir()
+            zero_checkpoint(good, mfcc_coefficients=40)
+            make_wav(good / "a.wav", seconds=0.5)
+        wav.write_bytes(mutation(data, (good / "a.wav").read_bytes()))
+        capsys.readouterr()
+        code = run(["infer", "--checkpoint", good / "model.phck", wav])
+        assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_featurize_with_a_mutated_wav(self, tmp_path, capsys, data):
+        cache, good = tmp_path / "cache", tmp_path / "good.wav"
+        if not good.exists():
+            cache.mkdir()
+            make_wav(good, seconds=0.5)
+            sample_csv(tmp_path, ["a.wav"])
+        (cache / "a.wav").write_bytes(mutation(data, good.read_bytes()))
+        capsys.readouterr()
+        code = run(["featurize", "--samples", tmp_path / "samples.csv",
+                    "--cache", cache, "--out", tmp_path / "features"])
+        # On success featurize reports the norm it computed on stderr.
+        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
 
 
 class TestUsageErrors:

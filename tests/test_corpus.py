@@ -1,12 +1,10 @@
 import csv
-import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from phonoscribe.corpus import (
-    ChecksumMismatchError,
     Fetcher,
     HttpError,
     FetchTimeoutError,
@@ -244,7 +242,7 @@ class TestFetchAudio:
         target.write_bytes(b"cached")
         transport = StubTransport([])
         result = Fetcher(transport=transport).fetch(
-            "https://example.test/x.wav", tmp_path)
+            "https://example.test/x.wav", tmp_path, "x.wav")
         assert result == target
         assert transport.calls == 0
         assert target.read_bytes() == b"cached"
@@ -253,7 +251,7 @@ class TestFetchAudio:
         transport = StubTransport([HttpError(404)] * 3)
         with pytest.raises(HttpError) as err:
             Fetcher(transport=transport).fetch("https://example.test/x.wav",
-                                               tmp_path)
+                                               tmp_path, "x.wav")
         assert err.value.status == 404
 
     def test_two_failures_then_success(self, tmp_path):
@@ -262,16 +260,10 @@ class TestFetchAudio:
         )
         sleeps = []
         fetcher = Fetcher(transport=transport, sleep=sleeps.append)
-        path = fetcher.fetch("https://example.test/x.wav", tmp_path)
+        path = fetcher.fetch("https://example.test/x.wav", tmp_path, "x.wav")
         assert path.read_bytes() == b"payload"
         assert transport.calls == 3
         assert len(sleeps) == 2  # backoff before each retry
-
-    def test_filename_from_url_is_unquoted(self, tmp_path):
-        transport = StubTransport([b"data"])
-        path = Fetcher(transport=transport).fetch(
-            "https://example.test/a/a5/x_%28fra%29.wav", tmp_path)
-        assert path.name == "x_(fra).wav"
 
     def test_explicit_filename_verbatim(self, tmp_path):
         transport = StubTransport([b"data"])
@@ -279,27 +271,12 @@ class TestFetchAudio:
             "https://example.test/x_y.wav", tmp_path, filename="x y.wav")
         assert path.name == "x y.wav"
 
-    def test_checksum_match(self, tmp_path):
-        payload = b"audio-bytes"
-        digest = hashlib.sha256(payload).hexdigest()
-        transport = StubTransport([payload])
-        path = Fetcher(transport=transport).fetch(
-            "https://example.test/x.wav", tmp_path, checksum=digest)
-        assert path.read_bytes() == payload
-
-    def test_checksum_mismatch(self, tmp_path):
-        transport = StubTransport([b"corrupted"])
-        with pytest.raises(ChecksumMismatchError):
-            Fetcher(transport=transport).fetch(
-                "https://example.test/x.wav", tmp_path, checksum="00" * 32)
-        assert not (tmp_path / "x.wav").exists()
-
     def test_idempotent_second_call_cached(self, tmp_path):
         transport = StubTransport([b"payload"])
         first = Fetcher(transport=transport).fetch(
-            "https://example.test/x.wav", tmp_path)
+            "https://example.test/x.wav", tmp_path, "x.wav")
         second = Fetcher(transport=StubTransport([])).fetch(
-            "https://example.test/x.wav", tmp_path)
+            "https://example.test/x.wav", tmp_path, "x.wav")
         assert first == second
 
     def test_rate_limit_sleeps_between_requests(self, tmp_path):
@@ -308,8 +285,8 @@ class TestFetchAudio:
         clock = iter([0.0, 0.1, 0.1]).__next__
         fetcher = Fetcher(transport=transport, min_interval=1.0,
                           sleep=sleeps.append, clock=clock)
-        fetcher.fetch("https://example.test/a.wav", tmp_path)
-        fetcher.fetch("https://example.test/b.wav", tmp_path)
+        fetcher.fetch("https://example.test/a.wav", tmp_path, "a.wav")
+        fetcher.fetch("https://example.test/b.wav", tmp_path, "b.wav")
         assert sleeps and sleeps[0] == pytest.approx(0.9)
 
 

@@ -30,6 +30,7 @@ from phonoscribe.dsp import (
     mel_filterbank,
     mfcc,
     resample,
+    resample_input,
     save_features,
     standardize,
 )
@@ -182,6 +183,29 @@ class TestResample:
             held, peak = usage()
         assert held == out.samples.nbytes
         assert peak < 4 * 2**20
+
+
+class TestResampleInput:
+    """``resample_input`` keeps the head of a clip that the first 2 s of
+    16 kHz output read; those output samples stay bit for bit the same."""
+
+    # 384 kHz is a ratio of 1/24, where the tap margin alone leaves the
+    # head's output short of 2 s.
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000, 96000,
+                                      192000, 384000])
+    def test_kept_output_unchanged(self, rate):
+        rng = np.random.default_rng(rate)
+        need = len(resample_input(AudioClip(rate, np.zeros(3 * rate)), 16000,
+                                  2.0).samples)
+        assert need < 3 * rate
+        for n in sorted({2 * rate - 1, 2 * rate, 2 * rate + 1,
+                         need - 1, need, need + 1, 3 * rate}):
+            clip = AudioClip(rate, rng.uniform(-1, 1, n))
+            head = resample_input(clip, 16000, 2.0)
+            assert len(head.samples) == min(n, need)
+            want = fix_length(resample(clip, 16000), 2.0).samples
+            got = fix_length(resample(head, 16000), 2.0).samples
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMfcc:

@@ -22,11 +22,11 @@ from phonoscribe.nn import (
     ReLU,
     ShapeMismatchError,
     TranscriptionModel,
-    count_params,
     load_checkpoint,
     save_checkpoint,
 )
 from phonoscribe.nn import lstm as lstm_module
+from phonoscribe.nn.layers import BN_EPS
 
 GRAD_TOL = 1e-4
 TRAIN = (0, 0)  # a training ctx: the dropout key (seed, step)
@@ -123,7 +123,7 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 10, 3))
         # target variance 1 - eps so that sqrt(var + eps) is exactly 1
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
-        x = x * np.sqrt(1.0 - layer.eps)
+        x = x * np.sqrt(1.0 - BN_EPS)
         y = layer.forward(x, TRAIN)
         assert np.abs(y - x).max() < 1e-6
 
@@ -716,6 +716,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3"),
+        ("lstm_dropout", False), ("lstm_dropout", "0.5"),
         ("lstm_units", 2.5), ("conv_kernel", 3.0), ("conv_layers", True),
         ("output_classes", 38.0), ("conv_batchnorm", "no"),
         ("lstm_bidirectional", 1), ("lstm_batchnorm", None)])
@@ -726,25 +727,29 @@ class TestModelConfig:
     def test_accepts_edge_values(self):
         config = ModelConfig(conv_layers=0, lstm_layers=0, conv_kernel=1,
                              conv_activation="none", lstm_dropout=0.0)
-        assert count_params(config) == 40 * 38 + 38
+        params = TranscriptionModel(config).parameters()
+        assert sum(v.size for v in params.values()) == 40 * 38 + 38
 
 
 class TestCountParams:
     def test_single_linear(self):
         config = ModelConfig(conv_layers=0, lstm_layers=0,
                              mfcc_coefficients=40, output_classes=38)
-        assert count_params(config) == 40 * 38 + 38
+        params = TranscriptionModel(config).parameters()
+        assert sum(v.size for v in params.values()) == 40 * 38 + 38
 
     def test_one_conv_layer(self):
         config = ModelConfig(conv_layers=1, conv_units=128, conv_kernel=3,
                              conv_batchnorm=False, lstm_layers=0,
                              mfcc_coefficients=40, output_classes=38)
         expected = (3 * 40 * 128 + 128) + (128 * 38 + 38)
-        assert count_params(config) == expected
+        params = TranscriptionModel(config).parameters()
+        assert sum(v.size for v in params.values()) == expected
 
     def test_default_config_pinned(self):
         # Regression constant for the shipped architecture.
-        assert count_params(ModelConfig()) == 9_029_414
+        params = TranscriptionModel(ModelConfig()).parameters()
+        assert sum(v.size for v in params.values()) == 9_029_414
 
     def test_excludes_running_stats(self):
         with_bn = ModelConfig(conv_layers=1, conv_units=8, lstm_layers=0,
@@ -752,8 +757,9 @@ class TestCountParams:
                               conv_batchnorm=True)
         model = TranscriptionModel(with_bn)
         total = sum(v.size for v in model.parameters().values())
-        assert count_params(with_bn) == total
+        assert total == (3 * 4 * 8 + 8) + 2 * 8 + (8 * 5 + 5)
         assert "conv1_bn.running_mean" in model.buffers()
+        assert "conv1_bn.running_mean" not in model.parameters()
 
 
 def _small_phck() -> bytes:

@@ -25,6 +25,7 @@ from phonoscribe.training import (
     infer,
     predict_ids,
     train_run,
+    wav_features,
 )
 
 TINY_MODEL = ModelConfig(mfcc_coefficients=8, conv_units=8, conv_kernel=3,
@@ -319,7 +320,8 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", 2),
         ("conv_activation", "tanh"), ("conv_layers", -1), ("lstm_units", 2.5),
-        ("conv_batchnorm", "no")])
+        ("conv_batchnorm", "no"), ("lstm_dropout", False),
+        ("lstm_dropout", "0.5")])
     def test_meta_with_invalid_model_value_rejected(self, tmp_path, field,
                                                     value):
         train_config = tiny_config().to_dict()
@@ -499,3 +501,33 @@ class TestInfer:
                     infer(transcriber, wav)
             assert err.value.stage == stage
             assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+class TestWavFeatures:
+    def test_long_clip_matches_the_uncut_pipeline(self, tmp_path):
+        rng = np.random.default_rng(7)
+        clip = dsp.AudioClip(44100, rng.uniform(-0.5, 0.5, 3 * 44100))
+        wav = tmp_path / "x.wav"
+        wav.write_bytes(dsp.encode_wav(clip))
+        config = FeatureConfig()
+        decoded = dsp.decode_wav(wav.read_bytes())
+        want = dsp.mfcc(dsp.fix_length(dsp.resample(decoded, 16000), 2.0), config)
+        assert wav_features(wav, config).tobytes() == want.tobytes()
+
+    def test_mislabelled_rate_resamples_only_the_kept_clip(self, tmp_path,
+                                                           monkeypatch):
+        # 1,000 samples under a header that claims 1 Hz: resampling all of
+        # them would compute 16M output samples to keep 32,000.
+        clip = dsp.AudioClip(1, np.random.default_rng(8).uniform(-1, 1, 1000))
+        wav = tmp_path / "x.wav"
+        wav.write_bytes(dsp.encode_wav(clip))
+        computed = []
+        original = dsp._resampled_block
+
+        def counting(x, positions, cutoff):
+            computed.append(len(positions))
+            return original(x, positions, cutoff)
+
+        monkeypatch.setattr(dsp, "_resampled_block", counting)
+        assert wav_features(wav, FeatureConfig()).shape == (198, 40)
+        assert 32000 <= sum(computed) <= 10 * 16000
