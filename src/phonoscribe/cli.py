@@ -32,6 +32,16 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _read_json(path, error: type[ValueError]):
+    """The JSON value in the file at ``path``; a file that is not UTF-8
+    JSON is an ``error`` naming it."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise error(f"{path} is not JSON: {e}") from e
+
+
 def read_config(path: str | None, norm_path: Path | None = None,
                 overrides: dict | None = None) -> training.TrainConfig:
     """The settings of a ``--config`` file, checked whole by
@@ -39,14 +49,7 @@ def read_config(path: str | None, norm_path: Path | None = None,
     it) and its model, norm and features blocks. Without a norm block, the
     norm comes from ``norm_path`` if that file exists. An unknown top-level
     block is a ConfigError naming it."""
-    file_config = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                file_config = json.load(f)
-            except ValueError as e:  # not UTF-8, or not JSON
-                raise training.ConfigError(
-                    f"config file {path} is not JSON: {e}") from e
+    file_config = {} if path is None else _read_json(path, training.ConfigError)
     training.require_object(file_config, f"config file {path}")
     unknown = sorted(set(file_config) - set(CONFIG_BLOCKS))
     if unknown:
@@ -56,8 +59,7 @@ def read_config(path: str | None, norm_path: Path | None = None,
     settings.update((block, file_config[block]) for block in CONFIG_BLOCKS[1:]
                     if block in file_config)
     if "norm" not in settings and norm_path is not None and norm_path.exists():
-        with open(norm_path, "r", encoding="utf-8") as f:
-            settings["norm"] = json.load(f)
+        settings["norm"] = _read_json(norm_path, ValueError)
     settings.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return training.TrainConfig.from_dict(settings)
 
@@ -121,8 +123,12 @@ def cmd_featurize(args) -> int:
 
     def write_features():
         for sample in samples:
-            features = training.wav_features(cache / sample.audio_filename,
-                                             config.features)
+            wav = cache / sample.audio_filename
+            try:
+                features = training.wav_features(wav, config.features)
+            except training.StageError as e:
+                # quoted, as a CSV field may hold a line break
+                raise RuntimeError(f"{str(wav)!r}: {e}") from e
             dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
             print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
             yield features
@@ -213,8 +219,7 @@ SUSPECT_FIELDS = {"word": str, "target_ipa": str, "predicted_ipa": str,
 def _suspect_rows(path: Path) -> list[dict]:
     """The ``suspects`` rows of a ``report.json``; anything else in their
     place is a ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
+    report = _read_json(path, ValueError)
     rows = report.get("suspects") if isinstance(report, dict) else None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: not a report: no 'suspects' list")

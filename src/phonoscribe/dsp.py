@@ -9,7 +9,6 @@ floor, orthonormal DCT-II keeping the first 40 coefficients. A 2 s clip at
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -131,7 +130,8 @@ def decode_wav(data: bytes) -> AudioClip:
     """Decode a RIFF/WAVE container to a mono clip.
 
     Supports PCM16 and IEEE float32, 1 or 2 channels. Stereo is averaged;
-    PCM16 is scaled by 1/32768.
+    PCM16 is scaled by 1/32768. A float32 sample that is NaN or infinite
+    is an UnsupportedFormatError.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeaderError("not a RIFF/WAVE file")
@@ -162,6 +162,8 @@ def decode_wav(data: bytes) -> AudioClip:
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise UnsupportedFormatError("float32 samples that are NaN or infinite")
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedFormatError(f"format {audio_format}, {bits}-bit")
@@ -213,14 +215,19 @@ def fix_length(clip: AudioClip, seconds: float) -> AudioClip:
 RESAMPLE_BLOCK = 4096  # output samples per block
 
 
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
+def resample(clip: AudioClip, target_rate: int,
+             seconds: float | None = None) -> AudioClip:
     """Band-limited rate conversion with a 16-tap windowed-sinc kernel.
 
     Kernel weights are renormalized per output sample, so DC is preserved
-    exactly, including at the clip edges. Identity when rates match. The
-    output is worked out in blocks of ``RESAMPLE_BLOCK`` samples, which
-    bounds the (samples x 16) temporaries; each output sample's arithmetic
-    does not depend on the block it falls in.
+    exactly, including at the clip edges. Identity when rates match. With
+    ``seconds``, only the output samples of the first ``seconds`` are
+    computed, so ``fix_length(resample(clip, rate, s), s)`` equals
+    ``fix_length(resample(clip, rate), s)`` at a cost that does not grow
+    with the clip. The output is worked out in blocks of
+    ``RESAMPLE_BLOCK`` samples, which bounds the (samples x 16)
+    temporaries; each output sample's arithmetic does not depend on the
+    block it falls in.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -230,6 +237,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     n = len(x)
     ratio = target_rate / clip.sample_rate
     out_len = int(round(n * ratio))
+    if seconds is not None:
+        out_len = min(out_len, _samples(seconds, target_rate))
     if out_len == 0 or n == 0:
         return AudioClip(target_rate, np.zeros(out_len))
 
@@ -239,28 +248,6 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         stop = min(start + RESAMPLE_BLOCK, out_len)
         y[start:stop] = _resampled_block(x, np.arange(start, stop) / ratio, cutoff)
     return AudioClip(target_rate, y)
-
-
-def resample_input(clip: AudioClip, target_rate: int, seconds: float) -> AudioClip:
-    """The head of ``clip`` that the first ``seconds`` of ``resample(clip,
-    target_rate)`` read; the whole clip if it is no longer.
-
-    Resampling the head gives those output samples bit for bit, and at
-    least as many of them, so ``fix_length(resample(...), seconds)`` is
-    unchanged, and its cost no longer grows with the clip's length.
-    """
-    kept = _samples(seconds, target_rate)
-    ratio = target_rate / clip.sample_rate
-    # Output sample j reads input taps floor(j / ratio) - 7 ... + 8, and
-    # the head yields round(n * ratio) output samples: below a ratio of
-    # 1/16 the taps alone can leave fewer than ``kept``.
-    n = max(math.floor((kept - 1) / ratio) + 9,
-            math.ceil((kept - 0.5) / ratio), 0)
-    while int(round(n * ratio)) < kept:
-        n += 1
-    if n >= len(clip.samples):
-        return clip
-    return AudioClip(clip.sample_rate, clip.samples[:n])
 
 
 def _resampled_block(x: np.ndarray, positions: np.ndarray,

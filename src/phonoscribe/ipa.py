@@ -149,19 +149,20 @@ def levenshtein(a: PhonemeSeq, b: PhonemeSeq) -> int:
     vowel spans two codepoints, so edits involving one can cost 2. This is
     the distance reported by the corpus audit tables.
     """
-    return _codepoint_distance(render_ipa(a), render_ipa(b))
+    return _edit_table(render_ipa(a), render_ipa(b))[-1][-1]
 
 
-def _codepoint_distance(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
+def _edit_table(a: str | PhonemeSeq, b: str | PhonemeSeq) -> list[list[int]]:
+    """Unit-cost edit distances (Wagner-Fischer): row i, column j holds
+    the distance between ``a[:i]`` and ``b[:j]``."""
+    dist = [list(range(len(b) + 1))]
     for i, x in enumerate(a, 1):
+        prev = dist[-1]
         cur = [i]
         for j, y in enumerate(b, 1):
             cur.append(min(prev[j - 1] + (x != y), prev[j] + 1, cur[j - 1] + 1))
-        prev = cur
-    return prev[-1]
+        dist.append(cur)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -197,23 +198,9 @@ def align(target: PhonemeSeq, predicted: PhonemeSeq) -> EditScript:
     unlike ``levenshtein``). Ties during traceback are broken by preferring
     Match > Substitute > Delete > Insert, which makes the script unique.
     """
-    n, m = len(target), len(predicted)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        ti = target[i - 1]
-        for j in range(1, m + 1):
-            dist[i][j] = min(
-                dist[i - 1][j - 1] + (ti != predicted[j - 1]),
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-            )
-
+    dist = _edit_table(target, predicted)
     ops: EditScript = []
-    i, j = n, m
+    i, j = len(target), len(predicted)
     while i > 0 or j > 0:
         here = dist[i][j]
         if i > 0 and j > 0 and target[i - 1] == predicted[j - 1] \

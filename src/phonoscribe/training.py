@@ -410,13 +410,12 @@ def _run_stages(value, stages):
 
 def wav_features(wav_path: str | Path, config: FeatureConfig) -> np.ndarray:
     """WAV file -> unstandardized (T, C) MFCC matrix: decode, resample to
-    the configured rate (only the input the kept clip reads), force the
-    clip length, compute the MFCCs."""
+    the configured rate (only the output of the kept clip), force the clip
+    length, compute the MFCCs."""
     rate, seconds = config.sample_rate, config.clip_seconds
     return _run_stages(wav_path, [
         ("decode_wav", lambda path: dsp.decode_wav(Path(path).read_bytes())),
-        ("resample", lambda clip: dsp.resample(
-            dsp.resample_input(clip, rate, seconds), rate)),
+        ("resample", lambda clip: dsp.resample(clip, rate, seconds)),
         ("fix_length", lambda clip: dsp.fix_length(clip, seconds)),
         ("mfcc", lambda clip: dsp.mfcc(clip, config)),
     ])

@@ -121,10 +121,14 @@ class TestFetchCommand:
         assert capsys.readouterr().out == "CACHED\ta.wav\n"
 
     def test_404_listed_in_failures(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
         def not_found(url):
+            calls.append(url)
             raise corpus.HttpError(404, url)
 
         monkeypatch.setattr(corpus, "_urllib_transport", not_found)
+        monkeypatch.setattr(corpus, "FETCH_BACKOFF_SECONDS", 0)
         cache = tmp_path / "cache"
         samples = sample_csv(tmp_path, ["missing.wav"])
         code = run(["fetch", "--samples", samples, "--cache", cache])
@@ -132,6 +136,7 @@ class TestFetchCommand:
         assert "FAIL\tmissing.wav" in capsys.readouterr().out
         failures = json.loads((cache / "failures.json").read_text())
         assert failures[0]["filename"] == "missing.wav"
+        assert len(calls) == corpus.FETCH_ATTEMPTS
 
     def test_download_written_under_verbatim_name(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -276,7 +281,18 @@ class TestFeaturizeCommand:
         samples = sample_csv(tmp_path, ["a.wav"])
         assert run(["featurize", "--samples", samples, "--cache", cache,
                     "--out", tmp_path / "features"]) == 1
-        assert "decode_wav" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "decode_wav" in err
+        assert str(cache / "a.wav") in err
+
+    def test_line_break_in_a_file_name_stays_one_line(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text('word,audio,ipa,speaker\nw,"a\nb.wav",wi,A\n')
+        assert run(["featurize", "--samples", samples, "--cache", tmp_path,
+                    "--out", tmp_path / "features"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(str(tmp_path / "a\nb.wav")) in err
 
 
 def featurized_fixture(tmp_path, words=("wi", "ku", "sa", "ato")):
@@ -533,6 +549,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
+                             ids=["not-json", "not-utf8"])
+    def test_malformed_norm_file_exits_one_naming_it(self, tmp_path, capsys,
+                                                     content):
+        samples, features = featurized_fixture(tmp_path)
+        (features / "norm.json").write_bytes(content)
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run",
+                    "--config", tiny_config_file(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: {features / 'norm.json'} is not JSON: " in err
 
 
 def zero_checkpoint(tmp_path, mfcc_coefficients=8):
@@ -858,6 +887,18 @@ class TestSuspectsCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "report.json" in err
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
+                             ids=["not-json", "not-utf8"])
+    def test_malformed_report_file_exits_one_naming_it(self, tmp_path, capsys,
+                                                       content):
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        (report_dir / "report.json").write_bytes(content)
+        assert run(["suspects", "--report-dir", report_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: {report_dir / 'report.json'} is not JSON: " in err
+
     def test_empty_report_exits_zero(self, tmp_path, capsys):
         report_dir = self.write_report(tmp_path, [])
         assert run(["suspects", "--report-dir", report_dir]) == 0
@@ -1038,6 +1079,116 @@ class TestCorruptFiles:
                     "--cache", cache, "--out", tmp_path / "features"])
         # On success featurize reports the norm it computed on stderr.
         assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_filter_with_a_mutated_manifest(self, tmp_path, capsys, data):
+        good, manifest = tmp_path / "good.csv", tmp_path / "m.csv"
+        if not good.exists():
+            write_manifest(good, [
+                f'bonjour,fra,bɔ̃ʒuʁ,"{BONJOUR_AUDIO}"',
+                "twoipa,fra,ku|kut,LL-Q150 (fra)-A-t.wav",
+                "clean,fra,ato,LL-Q150 (fra)-C-c.wav",
+            ])
+        manifest.write_bytes(mutation(data, good.read_bytes()))
+        capsys.readouterr()
+        code = run(["filter", "--manifest", manifest,
+                    "--out", tmp_path / "kept.csv"])
+        assert_clean_exit(code, capsys.readouterr().err)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_featurize_with_a_mutated_samples_csv(self, tmp_path, capsys, data):
+        cache, good = tmp_path / "cache", tmp_path / "good.csv"
+        if not good.exists():
+            cache.mkdir()
+            make_wav(cache / "a.wav", seconds=0.5)
+            make_wav(cache / "b.wav", seconds=0.5, freq=880.0)
+            sample_csv(tmp_path, ["a.wav", "b.wav"]).rename(good)
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(mutation(data, good.read_bytes()))
+        capsys.readouterr()
+        code = run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", tmp_path / "features"])
+        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_featurize_with_a_mutated_config(self, tmp_path, capsys, data):
+        cache, good = tmp_path / "cache", tmp_path / "good.json"
+        if not good.exists():
+            cache.mkdir()
+            make_wav(cache / "a.wav", seconds=0.5)
+            sample_csv(tmp_path, ["a.wav"])
+            tiny_config_file(tmp_path).rename(good)
+        config = tmp_path / "config.json"
+        config.write_bytes(mutation(data, good.read_bytes()))
+        capsys.readouterr()
+        code = run(["featurize", "--samples", tmp_path / "samples.csv",
+                    "--cache", cache, "--out", tmp_path / "features",
+                    "--config", config])
+        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_with_a_mutated_config(self, tmp_path, capsys, data):
+        good, run_dir = tmp_path / "good.json", tmp_path / "run"
+        if not good.exists():
+            featurized_fixture(tmp_path)
+            tiny_config_file(tmp_path).rename(good)
+        config = tmp_path / "config.json"
+        config.write_bytes(mutation(data, good.read_bytes()))
+        shutil.rmtree(run_dir, ignore_errors=True)
+        capsys.readouterr()
+        code = run(["train", "--features", tmp_path / "features",
+                    "--samples", tmp_path / "samples.csv",
+                    "--run-dir", run_dir, "--config", config])
+        # On success train reports its epochs and run dir on stderr.
+        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+
+def float32_wav(path, bad):
+    """A 1 s float32 WAV holding one ``bad`` sample and one infinity."""
+    from test_dsp import pcm16_wav
+
+    samples = 0.5 * np.sin(np.arange(16000) / 8.0)
+    samples[100], samples[8000] = bad, np.inf
+    path.write_bytes(pcm16_wav(samples, audio_format=3, bits=32))
+
+
+class TestNonFiniteWav:
+    """A float32 WAV with a NaN or infinite sample is rejected at
+    ``decode_wav``, so no non-finite feature is written."""
+
+    @pytest.mark.parametrize("norm", ["use", "compute"])
+    def test_featurize_exits_one_naming_the_file(self, tmp_path, capsys, norm):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        float32_wav(cache / "a.wav", np.nan)
+        samples = sample_csv(tmp_path, ["a.wav"])
+        code = run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", tmp_path / "features", "--norm", norm])
+        err = capsys.readouterr().err
+        assert_clean_exit(code, err)
+        assert code == 1
+        assert str(cache / "a.wav") in err and "NaN or infinite" in err
+        assert not (tmp_path / "features" / "a.wav.phfm").exists()
+
+    def test_infer_exits_one(self, tmp_path, capsys):
+        checkpoint = zero_checkpoint(tmp_path, mfcc_coefficients=40)
+        wav = tmp_path / "a.wav"
+        float32_wav(wav, -np.inf)
+        code = run(["infer", "--checkpoint", checkpoint, wav])
+        captured = capsys.readouterr()
+        assert_clean_exit(code, captured.err)
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"{wav}\tstage 'decode_wav': ")
 
 
 class TestUsageErrors:

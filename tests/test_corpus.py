@@ -249,10 +249,13 @@ class TestFetchAudio:
 
     def test_http_404(self, tmp_path):
         transport = StubTransport([HttpError(404)] * 3)
+        sleeps = []
         with pytest.raises(HttpError) as err:
-            Fetcher(transport=transport).fetch("https://example.test/x.wav",
-                                               tmp_path, "x.wav")
+            Fetcher(transport=transport, sleep=sleeps.append).fetch(
+                "https://example.test/x.wav", tmp_path, "x.wav")
         assert err.value.status == 404
+        assert transport.calls == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_two_failures_then_success(self, tmp_path):
         transport = StubTransport(

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -30,7 +31,6 @@ from phonoscribe.dsp import (
     mel_filterbank,
     mfcc,
     resample,
-    resample_input,
     save_features,
     standardize,
 )
@@ -72,6 +72,14 @@ class TestDecodeWav:
     def test_float32(self):
         clip = decode_wav(pcm16_wav([0.25, -0.5], audio_format=3, bits=32))
         assert np.allclose(clip.samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float32_rejected(self, bad, channels):
+        data = pcm16_wav([0.25, bad, -0.5, 0.0], channels=channels,
+                         audio_format=3, bits=32)
+        with pytest.raises(UnsupportedFormatError, match="NaN or infinite"):
+            decode_wav(data)
 
     def test_mulaw_unsupported(self):
         data = pcm16_wav([0], audio_format=7, bits=8)
@@ -185,26 +193,39 @@ class TestResample:
         assert peak < 4 * 2**20
 
 
-class TestResampleInput:
-    """``resample_input`` keeps the head of a clip that the first 2 s of
-    16 kHz output read; those output samples stay bit for bit the same."""
+def kept_clip_reach(rate: int) -> int:
+    """Input samples that the first 2 s of 16 kHz output read: output
+    sample j reads taps floor(j / ratio) - 7 ... + 8, and n input samples
+    give round(n * ratio) output samples, which below a ratio of 1/16 the
+    taps alone can leave short of 2 s."""
+    ratio = 16000 / rate
+    n = max(math.floor(31999 / ratio) + 9, math.ceil(31999.5 / ratio))
+    while round(n * ratio) < 32000:
+        n += 1
+    return n
 
-    # 384 kHz is a ratio of 1/24, where the tap margin alone leaves the
-    # head's output short of 2 s.
+
+class TestResampleInput:
+    """``resample(clip, 16000, 2.0)`` computes only the first 2 s of
+    output, bit for bit those of the whole clip's, whether the clip ends
+    before, at or past the input they read."""
+
+    # 384 kHz is a ratio of 1/24, where the tap reach alone leaves the
+    # output short of 2 s.
     @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000, 96000,
                                       192000, 384000])
     def test_kept_output_unchanged(self, rate):
         rng = np.random.default_rng(rate)
-        need = len(resample_input(AudioClip(rate, np.zeros(3 * rate)), 16000,
-                                  2.0).samples)
+        need = kept_clip_reach(rate)
         assert need < 3 * rate
         for n in sorted({2 * rate - 1, 2 * rate, 2 * rate + 1,
                          need - 1, need, need + 1, 3 * rate}):
             clip = AudioClip(rate, rng.uniform(-1, 1, n))
-            head = resample_input(clip, 16000, 2.0)
-            assert len(head.samples) == min(n, need)
+            kept = resample(clip, 16000, 2.0)
+            if rate != 16000:
+                assert len(kept.samples) == min(round(n * 16000 / rate), 32000)
             want = fix_length(resample(clip, 16000), 2.0).samples
-            got = fix_length(resample(head, 16000), 2.0).samples
+            got = fix_length(kept, 2.0).samples
             assert got.tobytes() == want.tobytes()
 
 
