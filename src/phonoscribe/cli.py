@@ -47,11 +47,11 @@ def read_config(path: str | None, norm_path: Path | None = None,
     """The settings of a ``--config`` file, checked whole by
     ``TrainConfig.from_dict``: its train block (with ``overrides`` laid over
     it) and its model, norm and features blocks. Without a norm block, the
-    norm comes from ``norm_path`` if that file exists. An unknown top-level
-    block is a ConfigError naming it."""
+    norm comes from ``norm_path`` if that file exists, a ValueError naming
+    it if not a valid norm. An unknown top-level block is a ConfigError."""
     file_config = {} if path is None else _read_json(path, training.ConfigError)
     training.require_object(file_config, f"config file {path}")
-    unknown = sorted(set(file_config) - set(CONFIG_BLOCKS))
+    unknown = sorted(repr(k)[1:-1] for k in set(file_config) - set(CONFIG_BLOCKS))
     if unknown:
         raise training.ConfigError(f"unknown config block(s): {', '.join(unknown)}")
     settings = dict(training.require_object(file_config.get("train", {}),
@@ -60,6 +60,10 @@ def read_config(path: str | None, norm_path: Path | None = None,
                     if block in file_config)
     if "norm" not in settings and norm_path is not None and norm_path.exists():
         settings["norm"] = _read_json(norm_path, ValueError)
+        try:
+            training.parse_settings(dsp.FeatureNorm, settings["norm"], "norm")
+        except training.ConfigError as e:
+            raise ValueError(f"{norm_path} is not a norm file: {e}") from e
     settings.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return training.TrainConfig.from_dict(settings)
 

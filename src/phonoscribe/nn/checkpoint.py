@@ -41,20 +41,20 @@ def save_checkpoint(path: str | Path, meta: dict,
                     arrays: dict[str, np.ndarray]) -> None:
     path = Path(path)
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)),
-             blob,
-             struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        data = np.asarray(arr, dtype="<f4")  # tobytes() writes C order
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", data.ndim))
-        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        parts.append(data.tobytes())
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    try:  # one part at a time; path is replaced only by a whole file
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                len(blob)) + blob + struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                data = np.asarray(arr, dtype="<f4", order="C")  # a view if it can
+                encoded = name.encode("utf-8")
+                f.write(struct.pack(f"<H{len(encoded)}sI{data.ndim}I", len(encoded),
+                                    encoded, data.ndim, *data.shape))
+                f.write(data)
+        os.replace(tmp, path)
+    finally:  # a no-op once replaced; else removes a partial file
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

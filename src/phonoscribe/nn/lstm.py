@@ -11,33 +11,33 @@ ag, ao):
 h_0 = c_0 = 0. ``LSTM`` and ``BiLSTM`` share one recurrence kernel,
 ``_run`` and ``_run_backward``, that advances D directions at once (D=1
 or 2); a reversed direction's processing step s is time T-1-s. Each step
-issues its recurrent GEMMs, gate and cell ops once for all directions.
-The cached gates and hidden states are direction-major, (D, T, B, ...), so
-each direction's block is the matrix its projection and weight-gradient
-GEMMs use, with no copy; the cell state and the backward factors are
+issues its gate and cell ops once for all directions. The cached gates
+and hidden states are direction-major, (D, T, B, ...), so each
+direction's block is the matrix its projection and weight-gradient GEMMs
+use, with no copy; the cell state and the backward factors are
 step-major, (T, D, B, H), and a step's gates are worked out in one
 contiguous (D, B, 4H) buffer.
 
 The per-step recurrent GEMMs, h_{t-1} @ wh forward and the gate
-gradients @ wh.T backward, run in one of two operand orders, chosen from
-(B, H) alone by ``_weights_left``. Rows-left, as written, runs at B=1
-(the eval and infer path) and for small layers (the acceptance-gate
-size). Weights-left, (wh.T @ h_{t-1}.T).T, runs once B >= 2, H >= 256 and
-a step's product passes 10**6 multiply-adds per direction, as at the
+gradients @ wh.T backward, run per direction in one of two operand
+orders, chosen from (B, H) alone by ``_weights_left``. Rows-left, as
+written, runs at B=1 (the eval and infer path) and for small layers.
+Weights-left, (wh.T @ h_{t-1}.T).T, runs once B >= 2, H >= 256 and a
+step's product passes 10**6 multiply-adds per direction, as at the
 shipped size (B=20, H=512), where BLAS runs it in about two thirds of the
-time. Its forward keeps the halved wh transposed, (4H, H), and each
-step's product goes into a (D, 4H, B) buffer that is added, transposed,
-into the step's gate buffer; its backward writes dh into a (D, H, B) one.
+time; its products go into transposed (D, 4H, B) and (D, H, B) buffers.
+Rows-left forward and weights-left backward read ``wh`` itself; the other
+two read a C-contiguous copy of wh.T, so the B=1 path copies no weight.
 
 The input projection for all timesteps is one matrix product per
-direction; the loop only adds h_{t-1} @ wh, then takes one tanh over all
-four gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)), with the halving
-applied exactly to the projection x @ wx + b and folded into wh. Backward
-hoists out of the loop every factor the forward pass fixes and turns the
-cached gates into the gate gradients in place (Appleyard et al.,
-arXiv:1604.01946). Every element sees the operations of a run of its
-direction alone, in the same order, so a BiLSTM equals a standalone
-``LSTM`` and ``LSTM(reverse=True)`` bit for bit.
+direction; the loop only adds h_{t-1} @ wh, halves that sum in one pass
+(exact, so it equals halving each term) and takes one tanh over all four
+gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Backward hoists out of
+the loop every factor the forward pass fixes and turns the cached gates
+into the gate gradients in place (Appleyard et al., arXiv:1604.01946).
+Every element sees the operations of a run of its direction alone, in
+the same order, so a BiLSTM equals a standalone ``LSTM`` and
+``LSTM(reverse=True)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ def _weights_left(b_sz: int, hs: int) -> bool:
     """Whether the recurrent GEMMs of a (b_sz, hs) run put the weights left."""
     return (b_sz >= 2 and hs >= WEIGHTS_LEFT_MIN_HIDDEN
             and b_sz * hs * 4 * hs > WEIGHTS_LEFT_MIN_MACS)
+
+
+def _recurrent_weights(directions, transposed: bool) -> list[np.ndarray]:
+    """Each direction's wh, or a C-contiguous copy of wh.T: BLAS runs a
+    transposed view slower, and to other bytes."""
+    return [np.ascontiguousarray(lstm.params["wh"].T) if transposed
+            else lstm.params["wh"] for lstm in directions]
 
 
 class LSTM:
@@ -137,24 +144,13 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     shift = 1.0 - half
 
     gates = np.empty((n_dir, t_len, b_sz, 4 * hs), dtype=x.dtype)
-    weights_left = _weights_left(b_sz, hs)
-    # wh_half[d] is the halved wh; weights-left stores its transpose.
-    wh_half = np.empty((n_dir, 4 * hs, hs) if weights_left else (n_dir, hs, 4 * hs),
-                       dtype=x.dtype)
-    half_row = half[0, 0]
     for d, lstm in enumerate(directions):
-        # For bw the rows in processing order are a copy that lives only
-        # through the GEMM. Scaling by 0.5 commutes with rounding, so
-        # halving the projection equals projecting with halved wx and b
-        # bit for bit, without a halved copy of wx.
+        # For bw, x in processing order is a copy living through the GEMM.
         np.matmul(x[::lstm._time_step].reshape(-1, n_in), lstm.params["wx"],
                   out=gates[d].reshape(-1, 4 * hs))
         gates[d] += lstm.params["b"]
-        gates[d] *= half_row
-        if weights_left:
-            np.multiply(lstm.params["wh"].T, half_row[:, None], out=wh_half[d])
-        else:
-            np.multiply(lstm.params["wh"], half_row, out=wh_half[d])
+    weights_left = _weights_left(b_sz, hs)
+    wh = _recurrent_weights(directions, transposed=weights_left)
 
     cells = np.empty((t_len, n_dir, b_sz, hs), dtype=x.dtype)
     hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
@@ -166,12 +162,13 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     tanh_c = np.empty((n_dir, b_sz, hs), dtype=x.dtype)  # backward recomputes it
     h_prev = c_prev = np.zeros((n_dir, b_sz, hs), dtype=x.dtype)
     for s in range(t_len):
-        if weights_left:
-            np.matmul(wh_half, h_prev.transpose(0, 2, 1), out=a_t)
-            np.add(a_t.transpose(0, 2, 1), gates[:, s], out=a)
-        else:
-            np.matmul(h_prev, wh_half, out=a)
-            a += gates[:, s]
+        for d, w in enumerate(wh):
+            if weights_left:
+                np.matmul(w, h_prev[d].T, out=a_t[d])
+            else:
+                np.matmul(h_prev[d], w, out=a[d])
+        np.add(a_t.transpose(0, 2, 1) if weights_left else a, gates[:, s], out=a)
+        a *= half
         np.tanh(a, out=a)
         a *= half
         a += shift
@@ -233,13 +230,9 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
     d_ifg = gates_by_step[:, :, :, :3]
     dh = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
     weights_left = _weights_left(b_sz, hs)
-    if weights_left:
-        wh = np.stack([lstm.params["wh"] for lstm in directions])
-        dh_next_t = np.zeros((n_dir, hs, b_sz), dtype=x.dtype)
-        dh_next = dh_next_t.transpose(0, 2, 1)
-    else:
-        wh_t = np.ascontiguousarray(np.stack([lstm.params["wh"].T for lstm in directions]))
-        dh_next = np.zeros_like(dh)
+    wh = _recurrent_weights(directions, transposed=not weights_left)
+    dh_next = (np.zeros((n_dir, hs, b_sz), dtype=x.dtype).transpose(0, 2, 1)
+               if weights_left else np.zeros_like(dh))
     dc = np.zeros_like(dh)
     dc_per_gate = dc[:, :, None]
     work = np.empty_like(dh)
@@ -249,10 +242,11 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
         np.multiply(dh, dc_from_dh[s], out=work)
         dc += work
         d_ifg[s] *= dc_per_gate
-        if weights_left:
-            np.matmul(wh, gates[:, s].transpose(0, 2, 1), out=dh_next_t)
-        else:
-            np.matmul(gates[:, s], wh_t, out=dh_next)
+        for d, w in enumerate(wh):
+            if weights_left:
+                np.matmul(w, gates[d, s].T, out=dh_next[d].T)
+            else:
+                np.matmul(gates[d, s], w, out=dh_next[d])
         dc *= f_kept[s]
     del cells, tanh_c, spare, f_kept, d_o, dc_from_dh, dh_out  # free before the GEMMs
 

@@ -49,10 +49,11 @@ def require_object(value, what: str) -> dict:
 
 
 def parse_settings(cls, d: dict, block: str):
-    """``cls(**d)``; a ``d`` that is not an object, a key ``cls`` lacks, or
-    a value ``cls`` rejects is a ConfigError naming ``block``."""
+    """``cls(**d)``; a ``d`` that is not an object, a key ``cls`` lacks
+    (escaped, so the message stays one line), or a value ``cls`` rejects is
+    a ConfigError naming ``block``."""
     require_object(d, f"the {block} block")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    unknown = sorted(repr(k)[1:-1] for k in set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
     try:
@@ -345,7 +346,7 @@ def train_run(
 
     metrics = RunMetrics()
     checkpoint = live_checkpoint(start_epoch)
-    if run_path is not None and config.epochs == 0:
+    if run_path is not None and config.epochs == start_epoch == 0:
         checkpoint.save(run_path / "epoch_0.phck")
 
     try:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from phonoscribe import analysis, cli, corpus, dsp
 from phonoscribe.cli import main
+from phonoscribe.ipa import INVENTORY
 from phonoscribe.training import Checkpoint, TrainConfig
 from phonoscribe.nn import (AdamW, ModelConfig, TranscriptionModel,
                             save_checkpoint)
@@ -563,6 +564,27 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert f"error: {features / 'norm.json'} is not JSON: " in err
 
+    @pytest.mark.parametrize("norm, message", [
+        ([1], "the norm block must be a JSON object, not list"),
+        ({"mean": 0}, "missing 1 required positional argument: 'std'"),
+        ({"mean": 0, "std": -1}, "std must be positive and finite"),
+        ({"mean": 0, "std": 1, "scale": 2}, "unknown norm key(s): scale"),
+        ({"mean": 0, "std": 1, "a\nb": 2}, "unknown norm key(s): a\\nb"),
+    ], ids=["list", "no-std", "negative-std", "extra-key", "line-break-key"])
+    def test_invalid_norm_file_exits_one_naming_it(self, tmp_path, capsys,
+                                                   norm, message):
+        samples, features = featurized_fixture(tmp_path)
+        (features / "norm.json").write_text(json.dumps(norm))
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run",
+                    "--config", tiny_config_file(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            f"error: {features / 'norm.json'} is not a norm file: ")
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
 
 def zero_checkpoint(tmp_path, mfcc_coefficients=8):
     config = TrainConfig(
@@ -1000,6 +1022,24 @@ def mutation(data, raw: bytes) -> bytes:
     return bytes(mutated[:data.draw(st.one_of(st.just(n), st.integers(0, n)))])
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+
+
+def corrupt_json(data, good: bytes, near_misses) -> bytes:
+    """The ``mutation`` of the JSON file ``good``, or a JSON value of any
+    shape, built from scalars and ``near_misses``: mutated JSON rarely
+    parses, so the values are what reach past the parser."""
+    if data.draw(st.booleans()):
+        return mutation(data, good)
+    value = data.draw(st.recursive(
+        JSON_SCALARS | near_misses,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8))
+    return json.dumps(value).encode("utf-8")
+
+
 def assert_clean_exit(code, err, ok_lines=0):
     """Exit 0 with ``ok_lines`` stderr lines (none unless the command
     reports on success), or 1 or 2 with one stderr line."""
@@ -1150,6 +1190,51 @@ class TestCorruptFiles:
                     "--run-dir", run_dir, "--config", config])
         # On success train reports its epochs and run dir on stderr.
         assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_with_a_corrupt_norm_file(self, tmp_path, capsys, data):
+        norm, good, run_dir = (tmp_path / "features" / "norm.json",
+                               tmp_path / "good.json", tmp_path / "run")
+        if not good.exists():
+            featurized_fixture(tmp_path)
+            tiny_config_file(tmp_path)
+            norm.rename(good)
+        number = st.one_of(JSON_SCALARS, st.floats(-3, 3))
+        near_misses = st.dictionaries(
+            st.sampled_from(["mean", "std", "scale"]), number, max_size=3)
+        norm.write_bytes(corrupt_json(data, good.read_bytes(), near_misses))
+        shutil.rmtree(run_dir, ignore_errors=True)
+        capsys.readouterr()
+        code = run(["train", "--features", tmp_path / "features",
+                    "--samples", tmp_path / "samples.csv",
+                    "--run-dir", run_dir, "--config", tmp_path / "config.json"])
+        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_suspects_with_a_corrupt_report(self, tmp_path, capsys, data):
+        report_dir, good = tmp_path / "report", tmp_path / "good.json"
+        if not good.exists():
+            target = [INVENTORY[i] for i in (1, 2, 3)]
+            analysis.write_report_bundle(report_dir, analysis.build_report([
+                analysis.PredictionPair.build(word=f"w{i}",
+                                              audio_filename=f"w{i}.wav",
+                                              target=target,
+                                              predicted=target[:i])
+                for i in range(3)]))
+            (report_dir / "report.json").rename(good)
+        field = st.one_of(JSON_SCALARS, st.text(max_size=3), st.integers(-2, 5))
+        row = st.fixed_dictionaries(
+            {}, optional={k: field for k in cli.SUSPECT_FIELDS})
+        near_misses = st.fixed_dictionaries({"suspects": st.lists(row, max_size=3)})
+        (report_dir / "report.json").write_bytes(
+            corrupt_json(data, good.read_bytes(), near_misses))
+        capsys.readouterr()
+        code = run(["suspects", "--report-dir", report_dir, "--top", 2])
+        assert_clean_exit(code, capsys.readouterr().err)
 
 
 def float32_wav(path, bad):

@@ -429,6 +429,16 @@ class TestRecurrentOrientation:
     def test_choice_by_shape(self, b_sz, hs, weights_left):
         assert lstm_module._weights_left(b_sz, hs) is weights_left
 
+    def test_batch_of_one_forward_copies_no_weight(self):
+        # Rows-left reads each wh in place, so the eval and infer path
+        # (B=1) allocates less than one recurrent weight matrix.
+        layer = BiLSTM(16, 512, rng=rng64(80))
+        x = rng64(81).normal(size=(1, 5, 16)).astype(np.float32)
+        with numpy_bytes() as usage:
+            layer.forward(x)
+            _, peak = usage()
+        assert peak < layer.params["fw.wh"].nbytes
+
 
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
@@ -822,6 +832,39 @@ class TestCheckpointFile:
         for key, value in model.parameters().items():
             assert np.array_equal(twin.parameters()[key], value), key
             assert np.array_equal(loaded[key], value), key
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        # A transposed float64 view and a 0-d array are written as C-order
+        # little-endian float32, each with its own shape.
+        w = np.arange(6, dtype=np.float64).reshape(3, 2).T
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {"b": 1, "a": "é"}, {"w": w, "é": np.float32(2)})
+        blob = b'{"a":"\\u00e9","b":1}'  # sorted, compact, ASCII
+        assert path.read_bytes() == b"".join([
+            struct.pack("<4sHI", b"PHCK", 1, len(blob)), blob,
+            struct.pack("<I", 2),
+            struct.pack("<H1sI2I", 1, b"w", 2, 2, 3),
+            np.array([0, 2, 4, 1, 3, 5], "<f4").tobytes(),
+            struct.pack("<H2sI", 2, "é".encode("utf-8"), 0),
+            struct.pack("<f", 2.0)])
+
+    def test_saving_streams_the_arrays(self, tmp_path):
+        arrays = {f"w{k}": np.full((256, 1024), k, np.float32) for k in range(8)}
+        with numpy_bytes() as usage:
+            save_checkpoint(tmp_path / "x.phck", {}, arrays)
+            _, peak = usage()
+        assert peak < arrays["w0"].nbytes  # no copy of any array
+
+    def test_an_unconvertible_array_leaves_the_directory_as_it_was(
+            self, tmp_path):
+        path = tmp_path / "x.phck"
+        save_checkpoint(path, {}, {"w": np.ones(3, np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {}, {"w": np.ones(3, np.float32),
+                                       "v": np.array(["not a number"])})
+        assert [p.name for p in tmp_path.iterdir()] == ["x.phck"]
+        assert path.read_bytes() == before
 
     def test_magic(self, tmp_path):
         path = tmp_path / "x.phck"

@@ -201,6 +201,18 @@ class TestTrainRun:
         for name, value in straight.buffers.items():
             assert np.array_equal(value, resumed.buffers[name]), name
 
+    @pytest.mark.parametrize("epochs", [0, 1, 2])
+    def test_resume_at_or_past_its_epochs_writes_no_checkpoint(self, tmp_path,
+                                                               epochs):
+        # Every epoch_<n>.phck holds the state after epoch n, so a run
+        # resumed from epoch 2 that trains no epoch writes none.
+        samples, run_dir = toy_samples(12), tmp_path / "run"
+        train_run(samples, tiny_config(epochs=2), run_dir=run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.glob("*.phck")}
+        train_run(samples, tiny_config(epochs=epochs), run_dir=run_dir,
+                  resume_from=Checkpoint.load(run_dir / "epoch_2.phck"))
+        assert {p.name: p.read_bytes() for p in run_dir.glob("*.phck")} == before
+
     @pytest.mark.parametrize("overrides", [
         {"epochs": 2}, {"epochs": 0},
         {"epochs": 50, "stop_at_eval_accuracy": 0.0}])
