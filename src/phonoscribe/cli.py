@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import analysis, corpus, dsp, training
 from .ipa import INVENTORY
+from .settings import printable
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -39,7 +40,7 @@ def _read_json(path, error: type[ValueError]):
         try:
             return json.load(f)
         except ValueError as e:  # not UTF-8, or not JSON
-            raise error(f"{path} is not JSON: {e}") from e
+            raise error(f"{printable(path)} is not JSON: {e}") from e
 
 
 def read_config(path: str | None, norm_path: Path | None = None,
@@ -50,8 +51,8 @@ def read_config(path: str | None, norm_path: Path | None = None,
     norm comes from ``norm_path`` if that file exists, a ValueError naming
     it if not a valid norm. An unknown top-level block is a ConfigError."""
     file_config = {} if path is None else _read_json(path, training.ConfigError)
-    training.require_object(file_config, f"config file {path}")
-    unknown = sorted(repr(k)[1:-1] for k in set(file_config) - set(CONFIG_BLOCKS))
+    training.require_object(file_config, f"config file {printable(path)}")
+    unknown = sorted(printable(k) for k in set(file_config) - set(CONFIG_BLOCKS))
     if unknown:
         raise training.ConfigError(f"unknown config block(s): {', '.join(unknown)}")
     settings = dict(training.require_object(file_config.get("train", {}),
@@ -63,7 +64,7 @@ def read_config(path: str | None, norm_path: Path | None = None,
         try:
             training.parse_settings(dsp.FeatureNorm, settings["norm"], "norm")
         except training.ConfigError as e:
-            raise ValueError(f"{norm_path} is not a norm file: {e}") from e
+            raise ValueError(f"{printable(norm_path)} is not a norm file: {e}") from e
     settings.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return training.TrainConfig.from_dict(settings)
 
@@ -224,13 +225,14 @@ def _suspect_rows(path: Path) -> list[dict]:
     """The ``suspects`` rows of a ``report.json``; anything else in their
     place is a ValueError naming the file."""
     report = _read_json(path, ValueError)
+    name = printable(path)
     rows = report.get("suspects") if isinstance(report, dict) else None
     if not isinstance(rows, list):
-        raise ValueError(f"{path}: not a report: no 'suspects' list")
+        raise ValueError(f"{name}: not a report: no 'suspects' list")
     for index, row in enumerate(rows):
         if not (isinstance(row, dict) and all(
                 type(row.get(k)) is t for k, t in SUSPECT_FIELDS.items())):
-            raise ValueError(f"{path}: suspect {index} is not an object with "
+            raise ValueError(f"{name}: suspect {index} is not an object with "
                              "string word, target_ipa and predicted_ipa and an "
                              "integer distance")
     return rows

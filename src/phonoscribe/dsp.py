@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .settings import is_int, is_real
+from .settings import is_int, is_real, printable
 
 
 class CorruptHeaderError(ValueError):
@@ -388,21 +388,22 @@ def load_features(path: str | Path) -> np.ndarray:
     ``path``. The payload length is checked against T x C from the file
     size before anything is read or allocated."""
     header_size = struct.calcsize("<4sHII")
+    name = printable(path)
     with open(path, "rb") as f:
         payload_size = os.fstat(f.fileno()).st_size - header_size
         header = f.read(header_size)
         if len(header) < header_size:
-            raise FeatureFileError(f"{path}: truncated feature header")
+            raise FeatureFileError(f"{name}: truncated feature header")
         magic, version, t, c = struct.unpack("<4sHII", header)
         if magic != FEATURE_MAGIC:
-            raise FeatureFileError(f"{path}: bad magic {magic!r}")
+            raise FeatureFileError(f"{name}: bad magic {magic!r}")
         if version != FEATURE_VERSION:
-            raise FeatureFileError(f"{path}: unsupported version {version}")
+            raise FeatureFileError(f"{name}: unsupported version {version}")
         if payload_size != 4 * t * c:
             raise FeatureFileError(
-                f"{path}: header says {t}x{c} float32 values "
+                f"{name}: header says {t}x{c} float32 values "
                 f"({4 * t * c} bytes), the payload has {payload_size} bytes")
         data = np.empty((t, c), dtype="<f4")
         if f.readinto(data) != data.nbytes:
-            raise FeatureFileError(f"{path}: truncated feature payload")
+            raise FeatureFileError(f"{name}: truncated feature payload")
     return data

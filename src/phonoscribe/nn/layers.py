@@ -143,19 +143,21 @@ class BatchNorm1d:
             if x.shape[0] * x.shape[1] == 1:
                 raise DegenerateBatchError("batch x time == 1 in train mode")
             mean = x.mean(axis=(0, 1))
-            var = x.var(axis=(0, 1))
+            # np.var's own steps, so var has its bytes, without a second
+            # centered copy of x.
+            x_hat = x - mean
+            var = np.square(x_hat).mean(axis=(0, 1))
             m = self.momentum
             # In place, so the arrays buffers() handed out stay live.
             for name, stat in (("running_mean", mean), ("running_var", var)):
                 self.buffers[name] *= 1 - m
                 self.buffers[name] += m * stat
         else:
-            mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
+            x_hat = x - self.buffers["running_mean"]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         # In-place steps below keep the operation order of the plain
         # expressions, so the results match them bit for bit.
-        x_hat = x - mean
         x_hat *= inv_std
         self._cache = (x_hat, inv_std, train)
         y = self.params["gamma"] * x_hat
@@ -164,22 +166,20 @@ class BatchNorm1d:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         (x_hat, inv_std, train), self._cache = self._cache, None
-        gamma = self.params["gamma"]
-        self.grads = {
-            "gamma": (dy * x_hat).sum(axis=(0, 1)),
-            "beta": dy.sum(axis=(0, 1)),
-        }
-        dx = dy * gamma
+        # Channel sums without full-size products: dx is the one new array.
+        dgamma = np.einsum("btc,btc->c", dy, x_hat)
+        dbeta = dy.sum(axis=(0, 1))
+        self.grads = {"gamma": dgamma, "beta": dbeta}
+        scale = self.params["gamma"] * inv_std
+        dx = dy * scale
         if train:
-            # Standard batch-norm gradient through the batch statistics:
-            # inv_std * (dx_hat - term_mean - x_hat * term_proj).
+            # Through the batch statistics (Ioffe & Szegedy, arXiv:1502.03167):
+            # dx = scale * (dy - mean(dy) - x_hat * mean(dy * x_hat)), the
+            # two means being dbeta / n and dgamma / n.
             n = dy.shape[0] * dy.shape[1]
-            term_mean = dx.sum(axis=(0, 1)) / n
-            term_proj = (dx * x_hat).sum(axis=(0, 1)) / n
-            x_hat *= term_proj
-            dx -= term_mean
+            x_hat *= scale * dgamma / n
+            dx -= scale * dbeta / n
             dx -= x_hat
-        dx *= inv_std
         return dx
 
 

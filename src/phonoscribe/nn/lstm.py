@@ -250,18 +250,19 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
         dc *= f_kept[s]
     del cells, tanh_c, spare, f_kept, d_o, dc_from_dh, dh_out  # free before the GEMMs
 
-    dx = None
-    for d, lstm in enumerate(directions):
-        step = lstm._time_step
-        da = gates[d].reshape(-1, 4 * hs)
-        lstm.grads = {
-            "wx": x[::step].reshape(-1, n_in).T @ da,
-            "wh": hidden[d, :-1].reshape(-1, hs).T @ da[b_sz:],
-            "b": da.sum(axis=0),
-        }
-        dx_d = (da @ lstm.params["wx"].T).reshape(x.shape)[::step]
-        if dx is None:
-            dx = dx_d
-        else:
-            dx += dx_d
+    # Each operand is dropped after its last read (Chen et al.,
+    # arXiv:1604.06174), so the dx GEMMs run beside neither hidden nor x.
+    das = [gates[d].reshape(-1, 4 * hs) for d in range(n_dir)]
+    for d, (lstm, da) in enumerate(zip(directions, das)):
+        lstm.grads = {"wh": hidden[d, :-1].reshape(-1, hs).T @ da[b_sz:],
+                      "b": da.sum(axis=0)}
+    del hidden
+    for lstm, da in zip(directions, das):
+        lstm.grads["wx"] = x[::lstm._time_step].reshape(-1, n_in).T @ da
+    del x
+    dxs = ((da @ lstm.params["wx"].T).reshape(t_len, b_sz, n_in)[::lstm._time_step]
+           for lstm, da in zip(directions, das))
+    dx = next(dxs)
+    for dx_d in dxs:
+        dx += dx_d
     return dx

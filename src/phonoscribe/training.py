@@ -5,12 +5,14 @@ samples, config and seed, two runs produce byte-identical checkpoints and
 metrics. All randomness is derived from the run seed through fixed streams
 (weight init, the train/eval split, one shuffle per epoch) plus
 counter-based dropout masks keyed on (seed, layer, step), so a run resumed
-from a checkpoint replays exactly.
+from a checkpoint replays exactly. That holds for one BLAS build and
+thread count, so checkpoints and ``config.json`` record ``thread_vars()``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -23,7 +25,7 @@ from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
 from .nn import (AdamW, CheckpointError, ModelConfig, TranscriptionModel,
                  load_checkpoint, save_checkpoint)
-from .settings import is_int, is_real
+from .settings import is_int, is_real, printable
 
 
 class InsufficientSamplesError(ValueError):
@@ -40,6 +42,16 @@ class ConfigError(ValueError):
     does not match a resumed checkpoint."""
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def thread_vars() -> dict[str, str | None]:
+    """The environment variables that set a BLAS or OpenMP thread count,
+    None where unset."""
+    return {name: os.environ.get(name) for name in THREAD_VARS}
+
+
 def require_object(value, what: str) -> dict:
     """``value`` if it is a JSON object (a dict), else a ConfigError."""
     if not isinstance(value, dict):
@@ -53,7 +65,7 @@ def parse_settings(cls, d: dict, block: str):
     (escaped, so the message stays one line), or a value ``cls`` rejects is
     a ConfigError naming ``block``."""
     require_object(d, f"the {block} block")
-    unknown = sorted(repr(k)[1:-1] for k in set(d) - {f.name for f in fields(cls)})
+    unknown = sorted(printable(k) for k in set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
     try:
@@ -165,6 +177,7 @@ class Checkpoint:
                 "optimizer_t": self.optimizer_t,
             },
             "has_optimizer": self.optimizer is not None,
+            "thread_vars": thread_vars(),
         }
         arrays = {f"param/{k}": v for k, v in self.params.items()}
         arrays.update({f"buffer/{k}": v for k, v in self.buffers.items()})
@@ -175,24 +188,25 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         meta, arrays = load_checkpoint(path)
+        file_name = printable(path)
         try:
             config = TrainConfig.from_dict(meta["train_config"])
         except (KeyError, TypeError, ConfigError) as e:
-            raise CheckpointError(
-                f"{path}: no usable train_config in the checkpoint meta: {e}") from e
+            raise CheckpointError(f"{file_name}: no usable train_config in "
+                                  f"the checkpoint meta: {e}") from e
         sections = {"param": {}, "buffer": {}, "opt": {}}
         for key, value in arrays.items():
             prefix, _, name = key.partition("/")
             sections.setdefault(prefix, {})[name] = value
         progress = meta.get("progress", {})
         if not isinstance(progress, dict):
-            raise CheckpointError(f"{path}: the meta's progress must be a JSON "
+            raise CheckpointError(f"{file_name}: the meta's progress must be a JSON "
                                   f"object, not {type(progress).__name__}")
         counts = {name: progress.get(name, 0)
                   for name in ("epoch", "step", "optimizer_t")}
         for name, value in counts.items():
             if not is_int(value) or value < 0:
-                raise CheckpointError(f"{path}: progress {name} must be an "
+                raise CheckpointError(f"{file_name}: progress {name} must be an "
                                       f"integer >= 0, not {value!r}")
         return cls(
             config=config,
@@ -284,7 +298,7 @@ def _metrics_through(path: Path, epoch: int) -> str:
     try:
         return "".join(line for line in lines if json.loads(line)["epoch"] <= epoch)
     except (ValueError, KeyError, TypeError) as e:
-        raise ValueError(f"{path}: not a metrics file: {e!r}") from e
+        raise ValueError(f"{printable(path)}: not a metrics file: {e!r}") from e
 
 
 def train_run(
@@ -331,7 +345,8 @@ def train_run(
         run_path = Path(run_dir)
         run_path.mkdir(parents=True, exist_ok=True)
         with open(run_path / "config.json", "w", encoding="utf-8") as f:
-            json.dump(config.to_dict(), f, sort_keys=True, indent=2)
+            json.dump({**config.to_dict(), "thread_vars": thread_vars()}, f,
+                      sort_keys=True, indent=2)
         metrics_path = run_path / "metrics.jsonl"
         earlier = (_metrics_through(metrics_path, start_epoch)
                    if resume_from is not None else "")

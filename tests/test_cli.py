@@ -1276,6 +1276,76 @@ class TestNonFiniteWav:
         assert captured.err.startswith(f"{wav}\tstage 'decode_wav': ")
 
 
+def _config_file(base, content):
+    path = base / "config.json"
+    path.write_text(content)
+    return ["featurize", "--config", path, "--samples", base / "samples.csv",
+            "--cache", base, "--out", base / "features"]
+
+
+def _norm_file(base, content):
+    samples, features = featurized_fixture(base)
+    (features / "norm.json").write_text(content)
+    return ["train", "--features", features, "--samples", samples,
+            "--run-dir", base / "run", "--config", tiny_config_file(base)]
+
+
+def _report_file(base, content):
+    (base / "report").mkdir()
+    (base / "report" / "report.json").write_text(content)
+    return ["suspects", "--report-dir", base / "report"]
+
+
+def _feature_file(base):
+    samples, features = featurized_fixture(base)
+    (features / "w0.wav.phfm").write_bytes(b"PHFM\x01")
+    return ["eval", "--checkpoint", zero_checkpoint(base), "--samples", samples,
+            "--features", features, "--report-dir", base / "report"]
+
+
+def _checkpoint_file(base):
+    save_checkpoint(base / "model.phck", {"blank_id": 37}, {})
+    make_wav(base / "a.wav")
+    return ["infer", "--checkpoint", base / "model.phck", base / "a.wav"]
+
+
+def _metrics_file(base):
+    samples, features = featurized_fixture(base)
+    common = ["train", "--features", features, "--samples", samples,
+              "--config", tiny_config_file(base), "--run-dir", base / "run"]
+    assert run(common) == 0
+    (base / "run" / "metrics.jsonl").write_text('{"step": 1}\n')
+    return common + ["--epochs", 2, "--resume", base / "run" / "epoch_1.phck"]
+
+
+class TestLineBreakInFileNames:
+    """A file name holding a line break is escaped in the error naming
+    it, so the error stays one stderr line."""
+
+    @pytest.mark.parametrize("command, code", [
+        (lambda base: _config_file(base, "{bad"), 2),
+        (lambda base: _config_file(base, "[1]"), 2),
+        (lambda base: _norm_file(base, "{bad"), 1),
+        (lambda base: _norm_file(base, "[1]"), 1),
+        (lambda base: _report_file(base, "{bad"), 1),
+        (lambda base: _report_file(base, "[1]"), 1),
+        (_feature_file, 1),
+        (_checkpoint_file, 1),
+        (_metrics_file, 1),
+    ], ids=["config-not-json", "config-not-object", "norm-not-json",
+            "norm-invalid", "report-not-json", "report-not-a-report",
+            "feature-file", "checkpoint-meta", "metrics-file"])
+    def test_error_stays_one_line(self, tmp_path, capsys, command, code):
+        base = tmp_path / "a\nb"
+        base.mkdir()
+        argv = command(base)
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert "a\\nb" in err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

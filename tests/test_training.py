@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from phonoscribe import ctc, dsp
 from phonoscribe.dsp import FeatureConfig, FeatureNorm
 from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
-                            save_checkpoint)
+                            load_checkpoint, save_checkpoint)
 from phonoscribe.training import (
+    THREAD_VARS,
     Checkpoint,
     ConfigError,
     FeaturizedSample,
@@ -167,6 +168,31 @@ class TestTrainRun:
         config_json = json.loads((tmp_path / "config.json").read_text())
         assert config_json["batch_size"] == 4
         assert config_json["model"]["conv_units"] == 8
+
+    def test_thread_variables_recorded(self, tmp_path, monkeypatch):
+        for name in THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        want = {name: None for name in THREAD_VARS}
+        want.update(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="1")
+        config = tiny_config(epochs=1)
+        train_run(toy_samples(12), config, run_dir=tmp_path)
+        config_json = json.loads((tmp_path / "config.json").read_text())
+        assert config_json.pop("thread_vars") == want
+        assert TrainConfig.from_dict(config_json) == config
+        meta, arrays = load_checkpoint(tmp_path / "epoch_1.phck")
+        assert meta["thread_vars"] == want
+        # A checkpoint from before the key loads, and resumes, as one with it.
+        del meta["thread_vars"]
+        save_checkpoint(tmp_path / "old.phck", meta, arrays)
+        old = Checkpoint.load(tmp_path / "old.phck")
+        assert old.epoch == 1 and old.config == config
+        resumed, _ = train_run(toy_samples(12), tiny_config(epochs=2),
+                               resume_from=old)
+        straight, _ = train_run(toy_samples(12), tiny_config(epochs=2))
+        for name, value in straight.params.items():
+            assert np.array_equal(value, resumed.params[name]), name
 
     def test_metrics_one_entry_per_epoch(self):
         samples = toy_samples(12)
