@@ -207,13 +207,14 @@ def cmd_infer(args) -> int:
     transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
     failed = False
     for wav in args.wavfiles:
+        name = printable(wav)
         try:
             _, ipa_text = training.infer(transcriber, wav)
         except training.StageError as e:
-            _err(f"{wav}\t{e}")
+            _err(f"{name}\t{e}")
             failed = True
             continue
-        print(f"{wav}\t{ipa_text}")
+        print(f"{name}\t{ipa_text}")
     return EXIT_FAILURE if failed else EXIT_OK
 
 

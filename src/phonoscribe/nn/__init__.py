@@ -9,7 +9,7 @@ from .layers import (
     ShapeMismatchError,
 )
 from .lstm import LSTM, BiLSTM
-from .model import ModelConfig, TranscriptionModel
+from .model import OUTPUT_CLASSES, ModelConfig, TranscriptionModel
 from .optim import AdamW
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "LSTM",
     "Linear",
     "ModelConfig",
+    "OUTPUT_CLASSES",
     "ReLU",
     "ShapeMismatchError",
     "TranscriptionModel",

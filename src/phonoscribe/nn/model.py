@@ -1,9 +1,9 @@
 """The transcription network: conv stack -> recurrent stack -> linear head.
 
-Layer order follows the architecture the default config describes:
-Conv1d, ReLU (, BatchNorm) twice; BiLSTM (, BatchNorm), Dropout twice;
+The layer graph is the paper's, with only its sizes settable:
+Conv1d, ReLU, BatchNorm twice; BiLSTM, BatchNorm, Dropout twice;
 then a per-frame Linear producing one logit row per frame over
-``output_classes`` classes (the last class is the CTC blank).
+``OUTPUT_CLASSES`` classes (the last class is the CTC blank).
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ipa import INVENTORY
 from ..settings import is_int, is_real
 from .checkpoint import copy_into
 from .layers import BatchNorm1d, Conv1d, Dropout, Linear, ReLU, collect
-from .lstm import LSTM, BiLSTM
+from .lstm import BiLSTM
+
+OUTPUT_CLASSES = len(INVENTORY) + 1  # the phonemes and the CTC blank
 
 
 @dataclass(frozen=True)
@@ -24,36 +27,23 @@ class ModelConfig:
     conv_layers: int = 2
     conv_units: int = 128
     conv_kernel: int = 3
-    conv_activation: str = "relu"
-    conv_batchnorm: bool = True
     lstm_layers: int = 2
     lstm_units: int = 512
     lstm_dropout: float = 0.5
-    lstm_bidirectional: bool = True
-    lstm_batchnorm: bool = True
-    output_classes: int = 38
 
     def __post_init__(self):
         for name in ("mfcc_coefficients", "conv_layers", "conv_units",
-                     "conv_kernel", "lstm_layers", "lstm_units", "output_classes"):
+                     "conv_kernel", "lstm_layers", "lstm_units"):
             if not is_int(getattr(self, name)):
                 raise TypeError(
                     f"{name} must be an integer, not {getattr(self, name)!r}")
-        for name in ("conv_batchnorm", "lstm_bidirectional", "lstm_batchnorm"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(
-                    f"{name} must be true or false, not {getattr(self, name)!r}")
-        if min(self.mfcc_coefficients, self.conv_units, self.lstm_units,
-               self.output_classes) <= 0:
+        if min(self.mfcc_coefficients, self.conv_units, self.lstm_units) <= 0:
             raise ValueError("all sizes must be positive")
         if min(self.conv_layers, self.lstm_layers) < 0:
             raise ValueError("layer counts must be >= 0")
         if self.conv_kernel < 1 or self.conv_kernel % 2 != 1:
             raise ValueError(
                 f"conv_kernel must be odd and >= 1, not {self.conv_kernel!r}")
-        if self.conv_activation not in ("relu", "none"):
-            raise ValueError("conv_activation must be 'relu' or 'none', "
-                             f"not {self.conv_activation!r}")
         if not is_real(self.lstm_dropout):
             raise TypeError(
                 f"lstm_dropout must be a finite number, not {self.lstm_dropout!r}")
@@ -77,32 +67,26 @@ class TranscriptionModel:
 
         width = config.mfcc_coefficients
         for i in range(1, config.conv_layers + 1):
-            self._layers.append(
+            self._layers += [
                 (f"conv{i}",
-                 Conv1d(width, config.conv_units, config.conv_kernel, rng, dtype)))
-            if config.conv_activation == "relu":
-                self._layers.append((f"conv{i}_relu", ReLU()))
+                 Conv1d(width, config.conv_units, config.conv_kernel, rng, dtype)),
+                (f"conv{i}_relu", ReLU()),
+                (f"conv{i}_bn", BatchNorm1d(config.conv_units, dtype=dtype)),
+            ]
             width = config.conv_units
-            if config.conv_batchnorm:
-                self._layers.append((f"conv{i}_bn", BatchNorm1d(width, dtype=dtype)))
 
         for i in range(1, config.lstm_layers + 1):
-            if config.lstm_bidirectional:
-                rnn = BiLSTM(width, config.lstm_units, rng, dtype)
-                width = 2 * config.lstm_units
-            else:
-                rnn = LSTM(width, config.lstm_units, rng=rng, dtype=dtype)
-                width = config.lstm_units
-            self._layers.append((f"lstm{i}", rnn))
-            if config.lstm_batchnorm:
-                self._layers.append((f"lstm{i}_bn", BatchNorm1d(width, dtype=dtype)))
-            self._layers.append(
-                (f"lstm{i}_dropout", Dropout(config.lstm_dropout, layer_id=i)))
+            self._layers += [
+                (f"lstm{i}", BiLSTM(width, config.lstm_units, rng, dtype)),
+                (f"lstm{i}_bn", BatchNorm1d(2 * config.lstm_units, dtype=dtype)),
+                (f"lstm{i}_dropout", Dropout(config.lstm_dropout, layer_id=i)),
+            ]
+            width = 2 * config.lstm_units
 
-        self._layers.append(("out", Linear(width, config.output_classes, rng, dtype)))
+        self._layers.append(("out", Linear(width, OUTPUT_CLASSES, rng, dtype)))
 
     def forward(self, x: np.ndarray, train: bool = False, step: int = 0):
-        """(B, T, mfcc_coefficients) -> logits (B, T, output_classes).
+        """(B, T, mfcc_coefficients) -> logits (B, T, OUTPUT_CLASSES).
 
         In eval mode (``train=False``) each layer's backward cache is
         dropped as soon as the layer has returned: no backward follows."""

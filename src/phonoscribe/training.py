@@ -23,8 +23,8 @@ import numpy as np
 from . import ctc, dsp
 from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
-from .nn import (AdamW, CheckpointError, ModelConfig, TranscriptionModel,
-                 load_checkpoint, save_checkpoint)
+from .nn import (OUTPUT_CLASSES, AdamW, CheckpointError, ModelConfig,
+                 TranscriptionModel, load_checkpoint, save_checkpoint)
 from .settings import is_int, is_real, printable
 
 
@@ -74,6 +74,14 @@ def parse_settings(cls, d: dict, block: str):
         raise ConfigError(f"invalid {block} block: {e}") from e
 
 
+# Model keys of the layer graph's retired switches, with the one value each
+# has in the graph that is built. A model block may hold one at exactly that
+# value and JSON type (not 1 for true, nor 38.0 for 38); it is dropped.
+RETIRED_MODEL_KEYS = {"conv_activation": "relu", "conv_batchnorm": True,
+                      "lstm_bidirectional": True, "lstm_batchnorm": True,
+                      "output_classes": OUTPUT_CLASSES}
+
+
 class StageError(RuntimeError):
     """An inference stage failed; the original error is the ``__cause__``."""
 
@@ -119,11 +127,6 @@ class TrainConfig:
         if accuracy is not None and not (is_real(accuracy) and 0.0 <= accuracy <= 1.0):
             raise ValueError(
                 f"stop_at_eval_accuracy must be in [0, 1], not {accuracy!r}")
-        classes = len(INVENTORY) + 1  # the phonemes and the CTC blank
-        if self.model.output_classes != classes:
-            raise ValueError(f"model output_classes must be {classes}, one per "
-                             "phoneme of the inventory and the CTC blank, not "
-                             f"{self.model.output_classes!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,6 +134,13 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(require_object(d, "the train block"))
+        if "model" in d:
+            d["model"] = model = dict(require_object(d["model"], "the model block"))
+            for key, fixed in RETIRED_MODEL_KEYS.items():
+                value = model.pop(key, fixed)
+                if type(value) is not type(fixed) or value != fixed:
+                    raise ConfigError(f"invalid model block: model {key} must "
+                                      f"be {json.dumps(fixed)}, not {value!r}")
         for block, settings_cls in (("model", ModelConfig), ("norm", FeatureNorm),
                                     ("features", FeatureConfig)):
             if block in d:
@@ -170,7 +180,7 @@ class Checkpoint:
     def save(self, path: str | Path) -> None:
         meta = {
             "train_config": self.config.to_dict(),
-            "blank_id": self.config.model.output_classes - 1,
+            "blank_id": OUTPUT_CLASSES - 1,
             "progress": {
                 "epoch": self.epoch,
                 "step": self.step,

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from phonoscribe.cli import main
 from phonoscribe.ipa import INVENTORY
 from phonoscribe.training import Checkpoint, TrainConfig
 from phonoscribe.nn import (AdamW, ModelConfig, TranscriptionModel,
-                            save_checkpoint)
+                            load_checkpoint, save_checkpoint)
 
 BONJOUR_AUDIO = "LL-Q150 (fra)-LoquaxFR-bonjour.wav"
 
@@ -764,6 +765,19 @@ class TestInferCommand:
         assert "decode_wav" in captured.err
         assert str(good) in captured.out  # later files still processed
 
+    def test_line_break_in_a_wav_name_stays_one_line(self, tmp_path, capsys):
+        checkpoint = zero_checkpoint(tmp_path, mfcc_coefficients=40)
+        missing = tmp_path / "a\nb.wav"
+        present = tmp_path / "c\nd.wav"
+        make_wav(present)
+        assert run(["infer", "--checkpoint", checkpoint, missing, present]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            repr(str(missing))[1:-1] + "\tstage 'decode_wav': ")
+        assert captured.out.count("\n") == 1
+        assert captured.out.startswith(repr(str(present))[1:-1] + "\t")
+
 
     def test_model_built_once_for_many_files(self, tmp_path, capsys,
                                              monkeypatch):
@@ -852,6 +866,103 @@ class TestInferCommand:
         make_wav(wav)
         assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
         assert "truncated checkpoint" in capsys.readouterr().err
+
+
+# The model keys of the graph's retired switches at the value each has in
+# the graph that is built, as files of the earlier form hold them.
+RETIRED_MODEL_KEYS = {"conv_activation": "relu", "conv_batchnorm": True,
+                      "lstm_bidirectional": True, "lstm_batchnorm": True,
+                      "output_classes": 38}
+WRONG_RETIRED_VALUES = [
+    ("conv_activation", "none"), ("conv_batchnorm", False),
+    ("lstm_bidirectional", 1), ("lstm_batchnorm", None),
+    ("output_classes", 40), ("output_classes", 38.0)]
+
+
+def old_form_copy(path, out, **retired):
+    """The checkpoint at ``path`` written to ``out`` with all five retired
+    keys in its meta's model block (``retired`` overriding their values)."""
+    meta, arrays = load_checkpoint(path)
+    meta["train_config"]["model"].update(RETIRED_MODEL_KEYS, **retired)
+    assert len(meta["train_config"]["model"]) == 12
+    save_checkpoint(out, meta, arrays)
+    return out
+
+
+class TestRetiredModelKeys:
+    """Files from when the model block had switches load if each retired
+    key holds the value of the graph that is built, and name it if not."""
+
+    def test_old_form_checkpoint_infers_the_same(self, tmp_path, capsys):
+        config = TrainConfig(model=ModelConfig(conv_units=8, lstm_units=8))
+        model = TranscriptionModel(config.model, rng=np.random.default_rng(7))
+        new = tmp_path / "new.phck"
+        Checkpoint(config, model.parameters(), model.buffers()).save(new)
+        old = old_form_copy(new, tmp_path / "old.phck")
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        outputs = []
+        for checkpoint in (new, old):
+            assert run(["infer", "--checkpoint", checkpoint, wav]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].out.startswith(f"{wav}\t")
+
+    def test_resume_from_old_form_checkpoint_matches_uninterrupted_run(
+            self, tmp_path):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path)]
+        straight = tmp_path / "straight"
+        assert run(common + ["--run-dir", straight, "--epochs", 2]) == 0
+        halves = tmp_path / "halves"
+        assert run(common + ["--run-dir", halves, "--epochs", 1]) == 0
+        old = old_form_copy(halves / "epoch_1.phck", tmp_path / "old.phck")
+        assert run(common + ["--run-dir", halves, "--epochs", 2,
+                             "--resume", old]) == 0
+        for name in ("epoch_2.phck", "metrics.jsonl"):
+            assert (straight / name).read_bytes() == (halves / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", WRONG_RETIRED_VALUES)
+    def test_wrong_value_in_config_exits_two(self, tmp_path, capsys, key,
+                                             value):
+        path = invalid_config_file(tmp_path, "model", key, value)
+        # Neither input exists, so reading one would exit 1.
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"invalid model block: model {key} must be " in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", WRONG_RETIRED_VALUES)
+    def test_wrong_value_in_checkpoint_exits_one(self, tmp_path, capsys, key,
+                                                 value):
+        old = old_form_copy(zero_checkpoint(tmp_path), tmp_path / "old.phck",
+                            **{key: value})
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", old, wav]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(old) in captured.err
+        assert f"invalid model block: model {key} must be " in captured.err
+
+
+class TestReadmeConfigExample:
+    def test_example_reads_as_the_default_config(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(example, encoding="utf-8")
+        assert cli.read_config(str(path)) == TrainConfig()
+        assert set(json.loads(example)["model"]) == \
+            {f.name for f in dataclasses.fields(ModelConfig)}
 
 
 class TestSuspectsCommand:

@@ -787,7 +787,6 @@ class TestModelConfig:
         ("conv_kernel", 2, "conv_kernel must be odd"),
         ("conv_kernel", 0, "conv_kernel must be odd"),
         ("conv_kernel", -1, "conv_kernel must be odd"),
-        ("conv_activation", "tanh", "conv_activation must be"),
         ("conv_layers", -1, "layer counts"),
         ("lstm_layers", -1, "layer counts"),
         ("lstm_units", 0, "sizes must be positive"),
@@ -800,16 +799,14 @@ class TestModelConfig:
     @pytest.mark.parametrize("field, value", [
         ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3"),
         ("lstm_dropout", False), ("lstm_dropout", "0.5"),
-        ("lstm_units", 2.5), ("conv_kernel", 3.0), ("conv_layers", True),
-        ("output_classes", 38.0), ("conv_batchnorm", "no"),
-        ("lstm_bidirectional", 1), ("lstm_batchnorm", None)])
+        ("lstm_units", 2.5), ("conv_kernel", 3.0), ("conv_layers", True)])
     def test_rejects_non_numbers(self, field, value):
         with pytest.raises(TypeError):
             ModelConfig(**{field: value})
 
     def test_accepts_edge_values(self):
         config = ModelConfig(conv_layers=0, lstm_layers=0, conv_kernel=1,
-                             conv_activation="none", lstm_dropout=0.0)
+                             lstm_dropout=0.0)
         params = TranscriptionModel(config).parameters()
         assert sum(v.size for v in params.values()) == 40 * 38 + 38
 
@@ -817,15 +814,14 @@ class TestModelConfig:
 class TestCountParams:
     def test_single_linear(self):
         config = ModelConfig(conv_layers=0, lstm_layers=0,
-                             mfcc_coefficients=40, output_classes=38)
+                             mfcc_coefficients=40)
         params = TranscriptionModel(config).parameters()
         assert sum(v.size for v in params.values()) == 40 * 38 + 38
 
     def test_one_conv_layer(self):
         config = ModelConfig(conv_layers=1, conv_units=128, conv_kernel=3,
-                             conv_batchnorm=False, lstm_layers=0,
-                             mfcc_coefficients=40, output_classes=38)
-        expected = (3 * 40 * 128 + 128) + (128 * 38 + 38)
+                             lstm_layers=0, mfcc_coefficients=40)
+        expected = (3 * 40 * 128 + 128) + 2 * 128 + (128 * 38 + 38)
         params = TranscriptionModel(config).parameters()
         assert sum(v.size for v in params.values()) == expected
 
@@ -836,11 +832,10 @@ class TestCountParams:
 
     def test_excludes_running_stats(self):
         with_bn = ModelConfig(conv_layers=1, conv_units=8, lstm_layers=0,
-                              mfcc_coefficients=4, output_classes=5,
-                              conv_batchnorm=True)
+                              mfcc_coefficients=4)
         model = TranscriptionModel(with_bn)
         total = sum(v.size for v in model.parameters().values())
-        assert total == (3 * 4 * 8 + 8) + 2 * 8 + (8 * 5 + 5)
+        assert total == (3 * 4 * 8 + 8) + 2 * 8 + (8 * 38 + 38)
         assert "conv1_bn.running_mean" in model.buffers()
         assert "conv1_bn.running_mean" not in model.parameters()
 
