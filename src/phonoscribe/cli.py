@@ -49,7 +49,8 @@ def read_config(path: str | None, norm_path: Path | None = None,
     ``TrainConfig.from_dict``: its train block (with ``overrides`` laid over
     it) and its model, norm and features blocks. Without a norm block, the
     norm comes from ``norm_path`` if that file exists, a ValueError naming
-    it if not a valid norm. An unknown top-level block is a ConfigError."""
+    it if not a valid norm. An unknown top-level block, or a block nested
+    in the train block, is a ConfigError."""
     file_config = {} if path is None else _read_json(path, training.ConfigError)
     training.require_object(file_config, f"config file {printable(path)}")
     unknown = sorted(printable(k) for k in set(file_config) - set(CONFIG_BLOCKS))
@@ -57,6 +58,9 @@ def read_config(path: str | None, norm_path: Path | None = None,
         raise training.ConfigError(f"unknown config block(s): {', '.join(unknown)}")
     settings = dict(training.require_object(file_config.get("train", {}),
                                             "the train block"))
+    nested = sorted(set(settings) & set(CONFIG_BLOCKS[1:]))
+    if nested:  # checkpoint meta nests them; a config file has them on top
+        raise training.ConfigError(f"unknown train key(s): {', '.join(nested)}")
     settings.update((block, file_config[block]) for block in CONFIG_BLOCKS[1:]
                     if block in file_config)
     if "norm" not in settings and norm_path is not None and norm_path.exists():
@@ -130,7 +134,7 @@ def cmd_featurize(args) -> int:
         for sample in samples:
             wav = cache / sample.audio_filename
             try:
-                features = training.wav_features(wav, config.features)
+                features = training.wav_features(wav)
             except training.StageError as e:
                 # quoted, as a CSV field may hold a line break
                 raise RuntimeError(f"{str(wav)!r}: {e}") from e
@@ -170,6 +174,12 @@ def cmd_train(args) -> int:
     config = read_config(args.config, Path(args.features) / "norm.json",
                          {flag: getattr(args, flag) for flag in TRAIN_FLAGS})
     samples = load_featurized(args.samples, args.features)
+    width = config.model.mfcc_coefficients
+    for s in samples:
+        if s.features.shape[1] != width:
+            path = Path(args.features) / f"{s.audio_filename}.phfm"
+            raise ValueError(f"{printable(path)}: {s.features.shape[1]} "
+                             f"coefficients per frame, the model reads {width}")
     resume = training.Checkpoint.load(args.resume) if args.resume else None
     _, metrics = training.train_run(
         samples, config, run_dir=args.run_dir, resume_from=resume,

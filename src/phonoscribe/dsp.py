@@ -4,7 +4,9 @@ Featurization is pinned for reproducibility: 16 kHz mono, clips forced to
 2.0 s, 25 ms Hann windows with a 10 ms hop, 512-point spectrum, 64
 triangular mel filters spanning 0 Hz to Nyquist, natural log with a 1e-10
 floor, orthonormal DCT-II keeping the first 40 coefficients. A 2 s clip at
-16 kHz therefore yields 1 + (32000 - 400) // 160 = 198 frames.
+16 kHz therefore yields 1 + (32000 - 400) // 160 = 198 frames. These
+values are the constants of ``FeatureConfig``; no config file, checkpoint
+or caller can change them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .settings import is_int, is_real, printable
+from .settings import is_real, printable
 
 
 class CorruptHeaderError(ValueError):
@@ -56,50 +58,17 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    sample_rate: int = 16000
-    clip_seconds: float = 2.0
-    window_seconds: float = 0.025
-    hop_seconds: float = 0.010
-    n_fft: int = 512
-    n_mels: int = 64
-    n_coefficients: int = 40
-    log_floor: float = 1e-10
+    """The pinned featurization settings, as class constants (no fields):
+    nothing can set them, so every instance is the same."""
 
-    def __post_init__(self):
-        for name in ("sample_rate", "n_fft", "n_mels", "n_coefficients"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        for name in ("clip_seconds", "window_seconds", "hop_seconds", "log_floor"):
-            value = getattr(self, name)
-            if not is_real(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
-        if self.n_coefficients > self.n_mels:  # the DCT has n_mels distinct rows
-            raise ValueError(f"n_coefficients must be at most n_mels "
-                             f"{self.n_mels}, not {self.n_coefficients!r}")
-        rate = self.sample_rate
-        # Mel bands widen with frequency, and an open band wider than the
-        # bin spacing holds a bin. So every filter of mel_filterbank has a
-        # nonzero weight iff the lowest band, from 0 Hz to the third mel
-        # edge (computed as mel_filterbank does), passes the first bin
-        # above 0 Hz.
-        step = _hz_to_mel(rate / 2.0) / (self.n_mels + 1)
-        lowest_top = _mel_to_hz(np.arange(3) * step)[2]
-        if lowest_top <= rate / self.n_fft:
-            raise ValueError(
-                f"n_mels {self.n_mels} is too many for n_fft {self.n_fft} at "
-                f"{rate} Hz: the lowest mel filter, 0-{lowest_top:.1f} Hz, covers "
-                f"no FFT bin (spacing {rate / self.n_fft:.1f} Hz)")
-        hop, window, clip = (_samples(seconds, rate) for seconds in (
-            self.hop_seconds, self.window_seconds, self.clip_seconds))
-        if min(hop, window) < 1:
-            raise ValueError(f"hop_seconds {self.hop_seconds!r} and window_seconds "
-                             f"{self.window_seconds!r} must each be at least one "
-                             f"sample at {rate} Hz")
-        if window > min(self.n_fft, clip):
-            raise ValueError(
-                f"window_seconds is {window} samples at {rate} Hz, more than "
-                f"n_fft {self.n_fft} or the {clip}-sample clip")
+    sample_rate = 16000
+    clip_seconds = 2.0
+    window_seconds = 0.025
+    hop_seconds = 0.010
+    n_fft = 512
+    n_mels = 64
+    n_coefficients = 40
+    log_floor = 1e-10
 
 
 def _samples(seconds: float, rate: int) -> int:
@@ -325,7 +294,8 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray
     """MFCC matrix, (frames, n_coefficients), float64.
 
     The clip must already be at ``config.sample_rate``; run ``resample`` and
-    ``fix_length`` first.
+    ``fix_length`` first. Every ``FeatureConfig`` holds the same pinned
+    values, so passing one changes nothing.
     """
     if clip.sample_rate != config.sample_rate:
         raise ConfigError(

@@ -1,8 +1,9 @@
-"""Value checks shared by the settings classes (``ModelConfig``,
-``FeatureConfig``, ``FeatureNorm``, ``TrainConfig``). Settings arrive as
-JSON, from a config file or a checkpoint's meta, where true, 2.5, "3" or
-1e999 can stand wherever an integer or a number is meant. ``printable``
-renders a file name or key from such input for a one-line message."""
+"""Value checks shared by the settable settings classes (``ModelConfig``,
+``FeatureNorm``, ``TrainConfig``; ``FeatureConfig`` is pinned and has none
+to check). Settings arrive as JSON, from a config file or a checkpoint's
+meta, where true, 2.5, "3" or 1e999 can stand wherever an integer or a
+number is meant. ``printable`` renders a file name or key from such input
+for a one-line message."""
 
 from __future__ import annotations
 

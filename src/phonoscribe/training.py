@@ -74,12 +74,19 @@ def parse_settings(cls, d: dict, block: str):
         raise ConfigError(f"invalid {block} block: {e}") from e
 
 
-# Model keys of the layer graph's retired switches, with the one value each
-# has in the graph that is built. A model block may hold one at exactly that
-# value and JSON type (not 1 for true, nor 38.0 for 38); it is dropped.
-RETIRED_MODEL_KEYS = {"conv_activation": "relu", "conv_batchnorm": True,
-                      "lstm_bidirectional": True, "lstm_batchnorm": True,
-                      "output_classes": OUTPUT_CLASSES}
+# Per block, the keys that files of an earlier form hold, with the one value
+# each has now: the layer graph's retired switches at the graph that is
+# built, and the pinned featurization settings. A block may hold one at
+# exactly that value, and it is dropped. A real may be any JSON number
+# (2 for 2.0); any other value needs the same JSON type (not 1 for true,
+# nor 38.0 for 38 or 16000.0 for 16000).
+RETIRED_KEYS = {
+    "model": {"conv_activation": "relu", "conv_batchnorm": True,
+              "lstm_bidirectional": True, "lstm_batchnorm": True,
+              "output_classes": OUTPUT_CLASSES},
+    "features": {name: value for name, value in vars(FeatureConfig).items()
+                 if not name.startswith("_")},
+}
 
 
 class StageError(RuntimeError):
@@ -108,8 +115,12 @@ class TrainConfig:
     weight_decay: float = 0.01
     model: ModelConfig = field(default_factory=ModelConfig)
     norm: FeatureNorm = field(default_factory=lambda: dsp.DEFAULT_NORM)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     stop_at_eval_accuracy: float | None = None
+
+    @property
+    def features(self) -> FeatureConfig:
+        """The pinned featurization settings, which no config sets."""
+        return FeatureConfig()
 
     def __post_init__(self):
         for name, least in (("batch_size", 1), ("epochs", 0),
@@ -134,17 +145,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(require_object(d, "the train block"))
-        if "model" in d:
-            d["model"] = model = dict(require_object(d["model"], "the model block"))
-            for key, fixed in RETIRED_MODEL_KEYS.items():
-                value = model.pop(key, fixed)
-                if type(value) is not type(fixed) or value != fixed:
-                    raise ConfigError(f"invalid model block: model {key} must "
-                                      f"be {json.dumps(fixed)}, not {value!r}")
         for block, settings_cls in (("model", ModelConfig), ("norm", FeatureNorm),
                                     ("features", FeatureConfig)):
-            if block in d:
-                d[block] = parse_settings(settings_cls, d[block], block)
+            if block not in d:
+                continue
+            settings = dict(require_object(d[block], f"the {block} block"))
+            for key, fixed in RETIRED_KEYS.get(block, {}).items():
+                value = settings.pop(key, fixed)
+                types = (int, float) if type(fixed) is float else (type(fixed),)
+                if type(value) not in types or value != fixed:
+                    raise ConfigError(f"invalid {block} block: {block} {key} "
+                                      f"must be {json.dumps(fixed)}, not {value!r}")
+            d[block] = parse_settings(settings_cls, settings, block)
+        d.pop("features", None)  # pinned: checked above, nothing to set
         return parse_settings(cls, d, "train")
 
 
@@ -233,8 +246,7 @@ class Checkpoint:
         return model
 
     def transcriber(self) -> Transcriber:
-        return Transcriber(self.build_model(), self.config.norm,
-                           self.config.features)
+        return Transcriber(self.build_model(), self.config.norm)
 
 
 def _rng(*entropy: int) -> np.random.Generator:
@@ -434,26 +446,25 @@ def _run_stages(value, stages):
     return value
 
 
-def wav_features(wav_path: str | Path, config: FeatureConfig) -> np.ndarray:
+def wav_features(wav_path: str | Path) -> np.ndarray:
     """WAV file -> unstandardized (T, C) MFCC matrix: decode, resample to
-    the configured rate (only the output of the kept clip), force the clip
+    the pinned rate (only the output of the kept clip), force the clip
     length, compute the MFCCs."""
-    rate, seconds = config.sample_rate, config.clip_seconds
+    rate, seconds = FeatureConfig.sample_rate, FeatureConfig.clip_seconds
     return _run_stages(wav_path, [
         ("decode_wav", lambda path: dsp.decode_wav(Path(path).read_bytes())),
         ("resample", lambda clip: dsp.resample(clip, rate, seconds)),
         ("fix_length", lambda clip: dsp.fix_length(clip, seconds)),
-        ("mfcc", lambda clip: dsp.mfcc(clip, config)),
+        ("mfcc", dsp.mfcc),
     ])
 
 
 @dataclass
 class Transcriber:
-    """An eval-mode model with the norm and feature settings it was trained on."""
+    """An eval-mode model with the norm it was trained on."""
 
     model: TranscriptionModel
     norm: FeatureNorm
-    features: FeatureConfig
 
 
 def predict_ids(transcriber: Transcriber, features: np.ndarray) -> list[int]:
@@ -472,6 +483,6 @@ def predict_ids(transcriber: Transcriber, features: np.ndarray) -> list[int]:
 def infer(transcriber: Transcriber, wav_path: str | Path) -> tuple[PhonemeSeq, str]:
     """WAV file -> (phoneme sequence, rendered IPA); any failure is a
     StageError naming the stage."""
-    features = wav_features(wav_path, transcriber.features)
+    features = wav_features(wav_path)
     seq = [INVENTORY[i] for i in predict_ids(transcriber, features)]
     return seq, render_ipa(seq)

@@ -166,16 +166,16 @@ INVALID_SETTINGS = [
     ("norm", "mean", None, "mean must be a finite number, not None"),
     ("norm", "std", 0, "std must be positive and finite"),
     ("norm", "std", float("inf"), "std must be positive and finite"),
-    ("features", "n_mels", 2.0, "n_mels must be an integer >= 1"),
-    ("features", "sample_rate", 0, "sample_rate must be an integer >= 1"),
-    ("features", "n_coefficients", 65, "n_coefficients must be at most n_mels 64"),
-    ("features", "n_mels", 128, "the lowest mel filter, 0-27.9 Hz, covers no FFT bin"),
-    ("features", "hop_seconds", 0, "hop_seconds must be positive and finite"),
-    ("features", "log_floor", float("nan"), "log_floor must be positive"),
-    ("features", "hop_seconds", 1e-5, "must each be at least one sample at 16000 Hz"),
+    ("features", "n_mels", 2.0, "features n_mels must be 64, not 2.0"),
+    ("features", "sample_rate", 0, "features sample_rate must be 16000, not 0"),
+    ("features", "n_coefficients", 65, "features n_coefficients must be 40, not 65"),
+    ("features", "n_mels", 128, "features n_mels must be 64, not 128"),
+    ("features", "hop_seconds", 0, "features hop_seconds must be 0.01, not 0"),
+    ("features", "log_floor", float("nan"), "features log_floor must be 1e-10, not nan"),
+    ("features", "hop_seconds", 1e-5, "features hop_seconds must be 0.01, not 1e-05"),
     ("features", "window_seconds", 0.05,
-     "window_seconds is 800 samples at 16000 Hz, more than n_fft 512"),
-    ("features", "clip_seconds", 0.01, "more than n_fft 512 or the 160-sample clip"),
+     "features window_seconds must be 0.025, not 0.05"),
+    ("features", "clip_seconds", 0.01, "features clip_seconds must be 2.0, not 0.01"),
 ]
 
 
@@ -586,6 +586,19 @@ class TestTrainCommand:
         assert message in err
         assert not (tmp_path / "run").exists()
 
+    def test_feature_width_mismatch_exits_one_before_writing(self, tmp_path,
+                                                             capsys):
+        samples, features = featurized_fixture(tmp_path)
+        for name in ("w2.wav.phfm", "w3.wav.phfm"):
+            dsp.save_features(features / name, np.zeros((12, 5), np.float32))
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run",
+                    "--config", tiny_config_file(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {features / 'w2.wav.phfm'}: 5 coefficients "
+                       "per frame, the model reads 8\n")
+        assert not (tmp_path / "run").exists()
+
 
 def zero_checkpoint(tmp_path, mfcc_coefficients=8):
     config = TrainConfig(
@@ -879,12 +892,29 @@ WRONG_RETIRED_VALUES = [
     ("output_classes", 40), ("output_classes", 38.0)]
 
 
-def old_form_copy(path, out, **retired):
-    """The checkpoint at ``path`` written to ``out`` with all five retired
-    keys in its meta's model block (``retired`` overriding their values)."""
+# The featurization settings at their pinned values, as files from when
+# they could be set hold them.
+RETIRED_FEATURE_KEYS = {"sample_rate": 16000, "clip_seconds": 2.0,
+                        "window_seconds": 0.025, "hop_seconds": 0.010,
+                        "n_fft": 512, "n_mels": 64, "n_coefficients": 40,
+                        "log_floor": 1e-10}
+WRONG_FEATURE_VALUES = [
+    ("sample_rate", 8000), ("sample_rate", 16000.0), ("sample_rate", True),
+    ("clip_seconds", 1.0), ("clip_seconds", "2.0"), ("window_seconds", 0.02),
+    ("hop_seconds", 0.02), ("n_fft", 1024), ("n_fft", 512.0), ("n_mels", 40),
+    ("n_coefficients", 13), ("log_floor", 1e-6), ("log_floor", None)]
+
+
+def old_form_copy(path, out, block="model", **retired):
+    """The checkpoint at ``path`` written to ``out`` with all the retired
+    keys of ``block`` in its meta (``retired`` overriding their values)."""
     meta, arrays = load_checkpoint(path)
-    meta["train_config"]["model"].update(RETIRED_MODEL_KEYS, **retired)
-    assert len(meta["train_config"]["model"]) == 12
+    if block == "model":
+        meta["train_config"]["model"].update(RETIRED_MODEL_KEYS, **retired)
+        assert len(meta["train_config"]["model"]) == 12
+    else:
+        assert "features" not in meta["train_config"]
+        meta["train_config"]["features"] = {**RETIRED_FEATURE_KEYS, **retired}
     save_checkpoint(out, meta, arrays)
     return out
 
@@ -952,6 +982,107 @@ class TestRetiredModelKeys:
         assert f"invalid model block: model {key} must be " in captured.err
 
 
+class TestRetiredFeatureKeys:
+    """Files from when the featurization could be set load if each setting
+    holds its pinned value, and name it if not."""
+
+    def test_old_form_checkpoint_infers_the_same(self, tmp_path, capsys):
+        config = TrainConfig(model=ModelConfig(conv_units=8, lstm_units=8))
+        model = TranscriptionModel(config.model, rng=np.random.default_rng(7))
+        new = tmp_path / "new.phck"
+        Checkpoint(config, model.parameters(), model.buffers()).save(new)
+        old = old_form_copy(new, tmp_path / "old.phck", "features")
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        outputs = []
+        for checkpoint in (new, old):
+            assert run(["infer", "--checkpoint", checkpoint, wav]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].out.startswith(f"{wav}\t")
+
+    def test_resume_from_old_form_checkpoint_matches_uninterrupted_run(
+            self, tmp_path):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path)]
+        straight = tmp_path / "straight"
+        assert run(common + ["--run-dir", straight, "--epochs", 2]) == 0
+        halves = tmp_path / "halves"
+        assert run(common + ["--run-dir", halves, "--epochs", 1]) == 0
+        old = old_form_copy(halves / "epoch_1.phck", tmp_path / "old.phck",
+                            "features")
+        assert run(common + ["--run-dir", halves, "--epochs", 2,
+                             "--resume", old]) == 0
+        for name in ("epoch_2.phck", "metrics.jsonl"):
+            assert (straight / name).read_bytes() == (halves / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", WRONG_FEATURE_VALUES)
+    def test_wrong_value_in_config_exits_two(self, tmp_path, capsys, key,
+                                             value):
+        path = invalid_config_file(tmp_path, "features", key, value)
+        # Neither input exists, so reading one would exit 1.
+        assert run(["train", "--features", tmp_path / "missing",
+                    "--samples", tmp_path / "missing.csv",
+                    "--run-dir", tmp_path / "run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"invalid features block: features {key} must be " in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", WRONG_FEATURE_VALUES)
+    def test_wrong_value_in_checkpoint_exits_one(self, tmp_path, capsys, key,
+                                                 value):
+        old = old_form_copy(zero_checkpoint(tmp_path), tmp_path / "old.phck",
+                            "features", **{key: value})
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", old, wav]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(old) in captured.err
+        assert f"invalid features block: features {key} must be " in captured.err
+
+    def test_real_setting_may_be_a_json_integer(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"features": {"clip_seconds": 2, "hop_seconds": 0.01}}')
+        assert cli.read_config(str(path)) == TrainConfig()
+        new = zero_checkpoint(tmp_path)
+        old = old_form_copy(new, tmp_path / "old.phck", "features",
+                            clip_seconds=2)
+        assert Checkpoint.load(old).config == Checkpoint.load(new).config
+
+
+class TestNestedConfigBlocks:
+    """A config file's train block holds train settings only: the blocks
+    that checkpoint meta nests in it stand at the top of a config file."""
+
+    BLOCKS = {"model": {"lstm_units": 8}, "norm": {"mean": 0.0, "std": 1.0},
+              "features": {"sample_rate": 16000}}
+
+    @pytest.mark.parametrize("also_on_top", [False, True])
+    @pytest.mark.parametrize("block", ["model", "norm", "features"])
+    @pytest.mark.parametrize("command", ["featurize", "train"])
+    def test_block_in_train_block_exits_two(self, tmp_path, capsys, command,
+                                            block, also_on_top):
+        config = {"train": {"seed": 1, block: self.BLOCKS[block]}}
+        if also_on_top:
+            config[block] = self.BLOCKS[block]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        # No input exists, so reading one would exit 1.
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        args = {"featurize": ["--cache", missing, "--out", out],
+                "train": ["--features", missing, "--run-dir", out]}[command]
+        assert run([command, "--samples", missing, "--config", path]
+                   + args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown train key(s): {block}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestReadmeConfigExample:
     def test_example_reads_as_the_default_config(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(
@@ -963,6 +1094,7 @@ class TestReadmeConfigExample:
         assert cli.read_config(str(path)) == TrainConfig()
         assert set(json.loads(example)["model"]) == \
             {f.name for f in dataclasses.fields(ModelConfig)}
+        assert "features" not in json.loads(example)
 
 
 class TestSuspectsCommand:

@@ -7,10 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from phonoscribe import ctc, dsp
-from phonoscribe.dsp import FeatureConfig, FeatureNorm
+from phonoscribe.dsp import FeatureNorm
 from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
                             load_checkpoint, save_checkpoint)
 from phonoscribe.training import (
+    RETIRED_KEYS,
     THREAD_VARS,
     Checkpoint,
     ConfigError,
@@ -321,7 +322,7 @@ class TestTrainConfigFromDict:
            if name not in ("model", "norm", "features")},
         "model": json_block(field_names(ModelConfig)),
         "norm": json_block(field_names(FeatureNorm)),
-        "features": json_block(field_names(FeatureConfig)),
+        "features": json_block(list(RETIRED_KEYS["features"])),
     }))
     def test_returns_a_config_or_raises_config_error(self, d):
         try:
@@ -380,7 +381,7 @@ class TestCheckpointRoundTrip:
     def test_meta_with_invalid_settings_rejected(self, tmp_path, block, field,
                                                  value, message):
         train_config = tiny_config().to_dict()
-        train_config[block][field] = value
+        train_config.setdefault(block, {})[field] = value
         path = tmp_path / "x.phck"
         save_checkpoint(path, {"train_config": train_config}, {})
         with pytest.raises(CheckpointError) as excinfo:
@@ -547,10 +548,9 @@ class TestWavFeatures:
         clip = dsp.AudioClip(44100, rng.uniform(-0.5, 0.5, 3 * 44100))
         wav = tmp_path / "x.wav"
         wav.write_bytes(dsp.encode_wav(clip))
-        config = FeatureConfig()
         decoded = dsp.decode_wav(wav.read_bytes())
-        want = dsp.mfcc(dsp.fix_length(dsp.resample(decoded, 16000), 2.0), config)
-        assert wav_features(wav, config).tobytes() == want.tobytes()
+        want = dsp.mfcc(dsp.fix_length(dsp.resample(decoded, 16000), 2.0))
+        assert wav_features(wav).tobytes() == want.tobytes()
 
     def test_mislabelled_rate_resamples_only_the_kept_clip(self, tmp_path,
                                                            monkeypatch):
@@ -567,5 +567,5 @@ class TestWavFeatures:
             return original(x, positions, cutoff)
 
         monkeypatch.setattr(dsp, "_resampled_block", counting)
-        assert wav_features(wav, FeatureConfig()).shape == (198, 40)
+        assert wav_features(wav).shape == (198, 40)
         assert sum(computed) == 32000
