@@ -154,13 +154,19 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample]:
-    """Join the kept-samples CSV with its feature files."""
+def load_featurized(samples_csv, features_dir,
+                    width: int) -> list[training.FeaturizedSample]:
+    """Join the kept-samples CSV with its feature files, each of which must
+    hold ``width`` coefficients per frame, the model's input width."""
     samples = corpus.read_samples_csv(samples_csv)
     features_dir = Path(features_dir)
     out = []
     for s in samples:
-        features = dsp.load_features(features_dir / f"{s.audio_filename}.phfm")
+        path = features_dir / f"{s.audio_filename}.phfm"
+        features = dsp.load_features(path)
+        if features.shape[1] != width:
+            raise ValueError(f"{printable(path)}: {features.shape[1]} "
+                             f"coefficients per frame, the model reads {width}")
         out.append(training.FeaturizedSample(
             word=s.word,
             audio_filename=s.audio_filename,
@@ -173,13 +179,8 @@ def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample
 def cmd_train(args) -> int:
     config = read_config(args.config, Path(args.features) / "norm.json",
                          {flag: getattr(args, flag) for flag in TRAIN_FLAGS})
-    samples = load_featurized(args.samples, args.features)
-    width = config.model.mfcc_coefficients
-    for s in samples:
-        if s.features.shape[1] != width:
-            path = Path(args.features) / f"{s.audio_filename}.phfm"
-            raise ValueError(f"{printable(path)}: {s.features.shape[1]} "
-                             f"coefficients per frame, the model reads {width}")
+    samples = load_featurized(args.samples, args.features,
+                              config.model.mfcc_coefficients)
     resume = training.Checkpoint.load(args.resume) if args.resume else None
     _, metrics = training.train_run(
         samples, config, run_dir=args.run_dir, resume_from=resume,
@@ -192,7 +193,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
-    samples = load_featurized(args.samples, args.features)
+    samples = load_featurized(args.samples, args.features,
+                              transcriber.model.config.mfcc_coefficients)
     pairs = []
     for s in samples:
         ids = training.predict_ids(transcriber, s.features)

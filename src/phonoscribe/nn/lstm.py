@@ -11,12 +11,16 @@ ag, ao):
 h_0 = c_0 = 0. ``LSTM`` and ``BiLSTM`` share one recurrence kernel,
 ``_run`` and ``_run_backward``, that advances D directions at once (D=1
 or 2); a reversed direction's processing step s is time T-1-s. Each step
-issues its gate and cell ops once for all directions. The cached gates
-and hidden states are direction-major, (D, T, B, ...), so each
-direction's block is the matrix its projection and weight-gradient GEMMs
-use, with no copy; the cell state and the backward factors are
-step-major, (T, D, B, H), and a step's gates are worked out in one
-contiguous (D, B, 4H) buffer.
+issues its gate and cell ops once for all directions. The forward pass
+caches only the time-major input and the gates; the cell states c and
+hidden states h are rebuilt in backward, c step by step with the
+forward's own ops and h = o tanh(c) after it, so both equal the
+forward's bit for bit (rematerialization: Chen et al., arXiv:1604.06174;
+Gruslys et al., arXiv:1606.03401). The gates and the hidden states are
+direction-major, (D, T, B, ...), so each direction's block is the matrix
+its projection and weight-gradient GEMMs use, with no copy; the cell
+states and the backward factors are step-major, (T, D, B, H), and a
+step's gates are worked out in one contiguous (D, B, 4H) buffer.
 
 The per-step recurrent GEMMs, h_{t-1} @ wh forward and the gate
 gradients @ wh.T backward, run per direction in one of two operand
@@ -34,7 +38,10 @@ direction; the loop only adds h_{t-1} @ wh, halves that sum in one pass
 (exact, so it equals halving each term) and takes one tanh over all four
 gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Backward hoists out of
 the loop every factor the forward pass fixes and turns the cached gates
-into the gate gradients in place (Appleyard et al., arXiv:1604.01946).
+into the gate gradients in place (Appleyard et al., arXiv:1604.01946);
+beside its cache it holds three (T, D, B, H) arrays: the cell states,
+which become tanh(c) and then o (1 - tanh^2 c), the hidden states, and
+a spare one that ends up keeping f.
 Every element sees the operations of a run of its direction alone, in
 the same order, so a BiLSTM equals a standalone ``LSTM`` and
 ``LSTM(reverse=True)`` bit for bit.
@@ -58,6 +65,19 @@ from .layers import check_input, collect, uniform_init
 WEIGHTS_LEFT_MIN_HIDDEN = 256
 WEIGHTS_LEFT_MIN_MACS = 10**6
 
+# The transposed copy of wh is built this many source rows at a time: at
+# H=512 (float32, 2-vCPU Xeon host) one whole-matrix copy took 3.4 ms and
+# blocks of 128 rows 1.7 ms, for the same bytes (blocks of 64 and 256 took
+# 1.8 and 2.4 ms).
+TRANSPOSE_BLOCK = 128
+
+# The backward builds its output-gate factors, and stacks the output
+# gradients its loop reads, this many values at a time (whole steps, at
+# least one). At (B, H) = (8, 64) the factors took a third of the time in
+# blocks of 16 steps as in single steps; at (20, 512) single steps ran
+# fastest, and the whole array took twice as long.
+STEP_BLOCK = 2**14
+
 
 def _weights_left(b_sz: int, hs: int) -> bool:
     """Whether the recurrent GEMMs of a (b_sz, hs) run put the weights left."""
@@ -68,8 +88,25 @@ def _weights_left(b_sz: int, hs: int) -> bool:
 def _recurrent_weights(directions, transposed: bool) -> list[np.ndarray]:
     """Each direction's wh, or a C-contiguous copy of wh.T: BLAS runs a
     transposed view slower, and to other bytes."""
-    return [np.ascontiguousarray(lstm.params["wh"].T) if transposed
-            else lstm.params["wh"] for lstm in directions]
+    if not transposed:
+        return [lstm.params["wh"] for lstm in directions]
+    copies = []
+    for lstm in directions:
+        wh = lstm.params["wh"]
+        wh_t = np.empty(wh.shape[::-1], dtype=wh.dtype)
+        for r in range(0, len(wh), TRANSPOSE_BLOCK):
+            wh_t[:, r:r + TRANSPOSE_BLOCK] = wh[r:r + TRANSPOSE_BLOCK].T
+        copies.append(wh_t)
+    return copies
+
+
+def _cell(i, f, g, c_prev, out, work) -> None:
+    """c_t = f c_{t-1} + i g into ``out``, using ``work``: the ops of both
+    the forward step and the backward's rebuild, so the two agree bit for
+    bit."""
+    np.multiply(f, c_prev, out=out)
+    np.multiply(i, g, out=work)
+    out += work
 
 
 class LSTM:
@@ -132,7 +169,7 @@ class BiLSTM:
 def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     """x (B, T, I) -> hidden (D, T, B, H), time-major, each direction in its
     own processing order; leaves on ``layer`` the cache ``_run_backward``
-    consumes, which holds a time-major copy of x."""
+    consumes: a time-major copy of x and the gates."""
     check_input(x, directions[0].input_size)
     x = np.ascontiguousarray(x.transpose(1, 0, 2))
     t_len, b_sz, n_in = x.shape
@@ -152,15 +189,16 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
     weights_left = _weights_left(b_sz, hs)
     wh = _recurrent_weights(directions, transposed=weights_left)
 
-    cells = np.empty((t_len, n_dir, b_sz, hs), dtype=x.dtype)
     hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
     # One step's gates, contiguous; stored into the cache once done.
     a = np.empty((n_dir, b_sz, 4 * hs), dtype=x.dtype)
     i, f, g, o = a.reshape(n_dir, b_sz, 4, hs).transpose(2, 0, 1, 3)
     if weights_left:
         a_t = np.empty((n_dir, 4 * hs, b_sz), dtype=x.dtype)  # a, transposed
-    tanh_c = np.empty((n_dir, b_sz, hs), dtype=x.dtype)  # backward recomputes it
-    h_prev = c_prev = np.zeros((n_dir, b_sz, hs), dtype=x.dtype)
+    tanh_c = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
+    # c_t and c_{t-1}, swapped each step; backward rebuilds every c_t.
+    c, c_prev = np.empty_like(tanh_c), np.zeros_like(tanh_c)
+    h_prev = np.zeros_like(tanh_c)
     for s in range(t_len):
         for d, w in enumerate(wh):
             if weights_left:
@@ -173,29 +211,56 @@ def _run(layer, directions, x: np.ndarray) -> np.ndarray:
         a *= half
         a += shift
         gates[:, s] = a
-        c = cells[s]
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=tanh_c)
-        c += tanh_c
+        _cell(i, f, g, c_prev, c, tanh_c)
         np.tanh(c, out=tanh_c)
         h_prev = hidden[:, s]
         np.multiply(o, tanh_c, out=h_prev)
-        c_prev = c
-    layer._cache = (x, gates, cells, hidden)
+        c, c_prev = c_prev, c
+    layer._cache = (x, gates)
     return hidden
+
+
+def _rebuild_cells(i, f, g) -> np.ndarray:
+    """Every cell state c_t, (T, D, B, H), from gates indexed (T, D, B, H),
+    by the forward pass's own ops: equal to its cells bit for bit."""
+    cells = np.empty(i.shape, dtype=i.dtype)
+    work = np.empty_like(cells[0])
+    c_prev = np.zeros_like(work)
+    for s, c in enumerate(cells):
+        _cell(i[s], f[s], g[s], c_prev, c, work)
+        c_prev = c
+    return cells
+
+
+def _output_factors(o, tanh_c) -> None:
+    """Turns o into do = [((1-o) o) tanh(c)] and tanh(c) into o (1 - tanh^2
+    c), both (T, D, B, H). Each reads the other's input, so they are built
+    a block of steps at a time, beside one block's spare memory."""
+    steps = max(1, STEP_BLOCK // tanh_c[0].size)
+    work = np.empty_like(tanh_c[:steps])
+    for s in range(0, len(tanh_c), steps):
+        o_s, t = o[s:s + steps], tanh_c[s:s + steps]
+        do = work[:len(t)]
+        np.subtract(1.0, o_s, out=do)
+        do *= o_s
+        do *= t
+        t *= t
+        np.subtract(1.0, t, out=t)
+        t *= o_s
+        o_s[...] = do
 
 
 def _run_backward(layer, directions, dys) -> np.ndarray:
     """Consumes the cache ``_run`` left on ``layer`` and each direction's
     output gradient, given time-major (T, B, H) in time order; sets every
     direction's ``grads`` and returns dx, time-major (T, B, I)."""
-    (x, gates, cells, hidden), layer._cache = layer._cache, None
-    n_dir, t_len, b_sz, _ = gates.shape
-    hs, n_in = hidden.shape[-1], x.shape[-1]
+    (x, gates), layer._cache = layer._cache, None
+    n_dir, t_len, b_sz, four_hs = gates.shape
+    hs, n_in = four_hs // 4, x.shape[-1]
     # Indexed (T, D, B, 4, H), like the step-major arrays.
     gates_by_step = gates.reshape(n_dir, t_len, b_sz, 4, hs).transpose(1, 0, 2, 3, 4)
     i, f, g, o = gates_by_step.transpose(3, 0, 1, 2, 4)
-    tanh_c = np.tanh(cells)
+    cells = _rebuild_cells(i, f, g)
 
     # Each gate becomes the part of its gradient that the forward pass
     # fixes: di = dc [((1-i) i) g], df = dc [((1-f) f) c_prev],
@@ -214,18 +279,12 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
     f *= f_kept
     f[1:] *= cells[:-1]
     f[0] = 0.0
-    d_o = cells
-    np.subtract(1.0, o, out=d_o)
-    d_o *= o
-    d_o *= tanh_c
+    tanh_c = np.tanh(cells, out=cells)  # c is read no more
+    # h = o tanh(c), direction-major as the wh-gradient GEMMs read it.
+    hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
+    np.multiply(o, tanh_c, out=hidden.transpose(1, 0, 2, 3))
+    _output_factors(o, tanh_c)
     dc_from_dh = tanh_c  # o (1 - tanh^2 c)
-    dc_from_dh *= tanh_c
-    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
-    dc_from_dh *= o
-    o[...] = d_o
-    dh_out = cells  # the output gradients, stacked in processing order
-    for d, (lstm, dy) in enumerate(zip(directions, dys)):
-        dh_out[:, d] = dy[::lstm._time_step]
 
     d_ifg = gates_by_step[:, :, :, :3]
     dh = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
@@ -236,8 +295,16 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
     dc = np.zeros_like(dh)
     dc_per_gate = dc[:, :, None]
     work = np.empty_like(dh)
+    # A block of steps' output gradients, stacked in processing order.
+    dh_out = [dy[::lstm._time_step] for lstm, dy in zip(directions, dys)]
+    block = max(1, STEP_BLOCK // dh.size)
+    dh_block = np.empty((block, *dh.shape), dtype=x.dtype)
     for s in range(t_len - 1, -1, -1):
-        np.add(dh_out[s], dh_next, out=dh)
+        k = s % block
+        if k == block - 1 or s == t_len - 1:
+            for d, dy in enumerate(dh_out):
+                dh_block[:k + 1, d] = dy[s - k:s + 1]
+        np.add(dh_block[k], dh_next, out=dh)
         o[s] *= dh
         np.multiply(dh, dc_from_dh[s], out=work)
         dc += work
@@ -248,7 +315,7 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
             else:
                 np.matmul(gates[d, s], w, out=dh_next[d])
         dc *= f_kept[s]
-    del cells, tanh_c, spare, f_kept, d_o, dc_from_dh, dh_out  # free before the GEMMs
+    del cells, tanh_c, spare, f_kept, dc_from_dh  # free before the GEMMs
 
     # Each operand is dropped after its last read (Chen et al.,
     # arXiv:1604.06174), so the dx GEMMs run beside neither hidden nor x.

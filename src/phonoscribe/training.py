@@ -291,8 +291,7 @@ def _eval_pass(model, eval_batches, norm):
     for batch in eval_batches:
         x = _stack_standardized(batch, norm, model.dtype)
         logp = ctc.log_softmax(model.forward(x, train=False).astype(np.float64))
-        batch_losses, _ = ctc.ctc_loss_batch(logp, [s.label for s in batch])
-        losses.extend(batch_losses)
+        losses.extend(ctc.ctc_nll_batch(logp, [s.label for s in batch]))
         correct += sum(ctc.greedy_decode(row) == sample.label
                        for row, sample in zip(logp, batch))
     return float(np.mean(losses)), correct / len(losses)

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from phonoscribe.nn import ModelConfig
+from phonoscribe.nn import ModelConfig, TranscriptionModel
 from phonoscribe.training import TrainConfig, train_run
 
 from synth import build_tone_corpus
@@ -27,6 +27,38 @@ def numpy_bytes():
         yield usage
     finally:
         tracemalloc.stop()
+
+
+@contextmanager
+def layer_memory():
+    """Trace every layer call of each ``TranscriptionModel`` built inside
+    the block. Yields a list that gains one ``(layer, phase, held, peak)``
+    per call, in call order: the layer's name in the model, "forward" or
+    "backward", and ``numpy_bytes``'s held and peak, the peak reset as the
+    call starts, so it is the highest traced total during that call."""
+    calls = []
+    build = TranscriptionModel.__init__
+
+    def init(model, *args, **kwargs):
+        build(model, *args, **kwargs)
+        for name, layer in model._layers:
+            for phase in ("forward", "backward"):
+                setattr(layer, phase, traced(name, phase, getattr(layer, phase)))
+
+    def traced(name, phase, call):
+        def run(*args):
+            tracemalloc.reset_peak()
+            out = call(*args)
+            calls.append((name, phase, *usage()))
+            return out
+        return run
+
+    with numpy_bytes() as usage:
+        TranscriptionModel.__init__ = init
+        try:
+            yield calls
+        finally:
+            TranscriptionModel.__init__ = build
 
 
 # Reduced-model training setup for the synthetic-corpus gate; deterministic

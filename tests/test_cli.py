@@ -646,6 +646,21 @@ class TestEvalCommand:
         assert np.abs(sums[occupied] - 1.0).max() < 1e-9
 
 
+    def test_feature_width_mismatch_exits_one_naming_the_file(self, tmp_path,
+                                                              capsys):
+        # 8-wide features against a checkpoint that reads 40 coefficients
+        samples, features = featurized_fixture(tmp_path)
+        report_dir = tmp_path / "report"
+        code = run(["eval", "--checkpoint",
+                    zero_checkpoint(tmp_path, mfcc_coefficients=40),
+                    "--samples", samples, "--features", features,
+                    "--report-dir", report_dir])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {features / 'w0.wav.phfm'}: 8 coefficients per frame, "
+            "the model reads 40\n")
+        assert not report_dir.exists()
+
     def test_short_feature_header_exits_one(self, tmp_path, capsys):
         samples, features = featurized_fixture(tmp_path)
         (features / "w0.wav.phfm").write_bytes(b"PHFM\x01")

@@ -6,6 +6,7 @@ from phonoscribe.ctc import (
     InfeasibleLengthError,
     ctc_loss,
     ctc_loss_batch,
+    ctc_nll_batch,
     greedy_decode,
     log_softmax,
     log_softmax_backward,
@@ -140,6 +141,7 @@ class TestCtcLossBatch:
         losses, grad = ctc_loss_batch(logp, labels)
         assert losses.shape == (len(labels),)
         assert grad.shape == logp.shape
+        assert np.array_equal(ctc_nll_batch(logp, labels), losses)
         for b, seq in enumerate(labels):
             loss, want = ctc_loss(logp[b], seq)
             assert np.allclose(losses[b], loss, rtol=0, atol=1e-12)
@@ -225,11 +227,15 @@ class TestCtcLossBatch:
         logp = np.stack([random_logp(rng, 3, 5) for _ in range(3)])
         with pytest.raises(error):
             ctc_loss_batch(logp, [[0, 1], bad, [3]])
+        with pytest.raises(error):
+            ctc_nll_batch(logp, [[0, 1], bad, [3]])
 
     def test_label_count_must_match_batch(self):
         logp = random_logp(np.random.default_rng(26), 3, 5)[None]
         with pytest.raises(ValueError):
             ctc_loss_batch(logp, [[0], [1]])
+        with pytest.raises(ValueError):
+            ctc_nll_batch(logp, [[0], [1]])
 
 
 def logp_from_argmax(frames, n_classes):

@@ -467,6 +467,26 @@ class TestLSTM:
             _, peak = usage()
         assert peak < 2.65 * 2**20
 
+    def test_bidirectional_cache_is_the_input_and_gates(self):
+        b_sz, t_len, n_in, hs = 3, 7, 5, 4
+        layer = BiLSTM(n_in, hs, rng=rng64(56))
+        x = rng64(57).normal(size=(b_sz, t_len, n_in)).astype(np.float32)
+        layer.forward(x, TRAIN)
+        assert np.array_equal(layer._cache[0], x.transpose(1, 0, 2))
+        gates = 2 * t_len * b_sz * 4 * hs * x.itemsize
+        assert sum(a.nbytes for a in layer._cache) == x.nbytes + gates
+
+    def test_backward_rebuilds_the_forward_states_bit_for_bit(self):
+        b_sz, t_len, hs = 3, 9, 6
+        layer = BiLSTM(5, hs, rng=rng64(58))
+        x = rng64(59).normal(size=(b_sz, t_len, 5)).astype(np.float32)
+        y = layer.forward(x, TRAIN)
+        i, f, g, o = layer._cache[1].reshape(2, t_len, b_sz, 4, hs).transpose(
+            3, 1, 0, 2, 4)
+        hidden = o * np.tanh(lstm_module._rebuild_cells(i, f, g))
+        assert np.array_equal(hidden[:, 0].transpose(1, 0, 2), y[:, :, :hs])
+        assert np.array_equal(hidden[::-1, 1].transpose(1, 0, 2), y[:, :, hs:])
+
     @pytest.mark.parametrize("shape", [(2, 5), (2, 5, 4), (2, 5, 3, 1)])
     def test_bidirectional_checks_its_own_input(self, monkeypatch, shape):
         def not_called(*args):
@@ -501,6 +521,13 @@ class TestRecurrentOrientation:
     ])
     def test_choice_by_shape(self, b_sz, hs, weights_left):
         assert lstm_module._weights_left(b_sz, hs) is weights_left
+
+    @pytest.mark.parametrize("hs", [1, 128, 300])
+    def test_transposed_copy_is_contiguous_wh_t(self, hs):
+        layer = LSTM(2, hs, rng=rng64(82))
+        copy, = lstm_module._recurrent_weights((layer,), transposed=True)
+        assert copy.flags.c_contiguous
+        assert np.array_equal(copy, layer.params["wh"].T)
 
     def test_batch_of_one_forward_copies_no_weight(self):
         # Rows-left reads each wh in place, so the eval and infer path

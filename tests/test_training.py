@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import layer_memory
 from phonoscribe import ctc, dsp
 from phonoscribe.dsp import FeatureNorm
 from phonoscribe.nn import (CheckpointError, ModelConfig, TranscriptionModel,
@@ -296,6 +297,32 @@ class TestTrainRun:
         config = tiny_config(epochs=50, stop_at_eval_accuracy=0.0)
         _, metrics = train_run(samples, config)
         assert len(metrics.epochs) == 1
+
+    def test_eval_pass_takes_no_ctc_gradients(self, monkeypatch):
+        # two epochs of two train batches and one eval batch: only the
+        # train batches take CTC gradients
+        calls = []
+        kernel = ctc.ctc_loss_batch
+        monkeypatch.setattr(ctc, "ctc_loss_batch",
+                            lambda *args: calls.append(1) or kernel(*args))
+        train_run(toy_samples(12), tiny_config())
+        assert len(calls) == 2 * 2
+
+
+class TestTrainStepMemory:
+    def test_mid_size_train_step_peak(self, tone_corpus):
+        # One train batch and one eval batch at conv 32, LSTM 128, B=8,
+        # T=198. Traced numpy peak: 31.2 MiB in lstm2.backward, against
+        # 35.8 MiB while each BiLSTM cached its cell and hidden states too.
+        samples, norm = tone_corpus
+        config = TrainConfig(batch_size=8, epochs=1, eval_batches=1, seed=3,
+                             model=ModelConfig(conv_units=32, lstm_units=128),
+                             norm=norm)
+        with layer_memory() as calls:
+            train_run(samples[:16], config)
+        assert samples[0].features.shape == (198, 40)
+        layer, phase, _, peak = max(calls, key=lambda call: call[3])
+        assert peak < 32 * 2**20, (layer, phase, peak)
 
 
 class TestTrainingLossTrend:
