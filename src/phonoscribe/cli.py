@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import analysis, corpus, dsp, training
 from .ipa import INVENTORY
+from .nn import INPUT_WIDTH
 from .settings import printable
 
 EXIT_OK = 0
@@ -154,19 +155,18 @@ def cmd_featurize(args) -> int:
     return EXIT_OK
 
 
-def load_featurized(samples_csv, features_dir,
-                    width: int) -> list[training.FeaturizedSample]:
+def load_featurized(samples_csv, features_dir) -> list[training.FeaturizedSample]:
     """Join the kept-samples CSV with its feature files, each of which must
-    hold ``width`` coefficients per frame, the model's input width."""
+    hold the model's ``INPUT_WIDTH`` coefficients per frame."""
     samples = corpus.read_samples_csv(samples_csv)
     features_dir = Path(features_dir)
     out = []
     for s in samples:
         path = features_dir / f"{s.audio_filename}.phfm"
         features = dsp.load_features(path)
-        if features.shape[1] != width:
-            raise ValueError(f"{printable(path)}: {features.shape[1]} "
-                             f"coefficients per frame, the model reads {width}")
+        if features.shape[1] != INPUT_WIDTH:
+            raise ValueError(f"{printable(path)}: {features.shape[1]} coefficients "
+                             f"per frame, the model reads {INPUT_WIDTH}")
         out.append(training.FeaturizedSample(
             word=s.word,
             audio_filename=s.audio_filename,
@@ -179,8 +179,7 @@ def load_featurized(samples_csv, features_dir,
 def cmd_train(args) -> int:
     config = read_config(args.config, Path(args.features) / "norm.json",
                          {flag: getattr(args, flag) for flag in TRAIN_FLAGS})
-    samples = load_featurized(args.samples, args.features,
-                              config.model.mfcc_coefficients)
+    samples = load_featurized(args.samples, args.features)
     resume = training.Checkpoint.load(args.resume) if args.resume else None
     _, metrics = training.train_run(
         samples, config, run_dir=args.run_dir, resume_from=resume,
@@ -193,8 +192,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
-    samples = load_featurized(args.samples, args.features,
-                              transcriber.model.config.mfcc_coefficients)
+    samples = load_featurized(args.samples, args.features)
     pairs = []
     for s in samples:
         ids = training.predict_ids(transcriber, s.features)

@@ -91,8 +91,10 @@ def _split_list(cell: str) -> list[str]:
     return [v for v in cell.split(LIST_DELIMITER) if v] if cell else []
 
 
-def _read_csv(path: str | Path, header: list[str]) -> list[list[str]] | None:
-    """The non-blank rows after ``header``; None for an empty file.
+def _read_csv(path: str | Path,
+              header: list[str]) -> list[tuple[int, list[str]]] | None:
+    """The non-blank rows after ``header``, each with its line number;
+    None for an empty file.
 
     A file that cannot be read as UTF-8 raises ManifestIoError; a wrong
     header or field count, or a row the CSV parser rejects, MalformedRowError.
@@ -113,20 +115,27 @@ def _read_csv(path: str | Path, header: list[str]) -> list[list[str]] | None:
         return None
     if rows[0] != header:
         raise MalformedRowError(1, f"expected header {','.join(header)}")
-    for line_no, row in enumerate(rows[1:], start=2):
-        if row and len(row) != len(header):
+    numbered = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
+    for line_no, row in numbered:
+        if len(row) != len(header):
             raise MalformedRowError(
                 line_no, f"expected {len(header)} fields, got {len(row)}")
-    return [row for row in rows[1:] if row]
+    return numbered
 
 
 def parse_manifest(path: str | Path) -> list[PageRecord]:
     """Read the manifest CSV; one PageRecord per row, IPA kept verbatim."""
     return [
         PageRecord(word, language, _split_list(ipa_cell), _split_list(audio_cell))
-        for word, language, ipa_cell, audio_cell
+        for _, (word, language, ipa_cell, audio_cell)
         in _read_csv(path, MANIFEST_HEADER) or []
     ]
+
+
+def is_plain_name(name: str) -> bool:
+    """Not empty, ``.`` or ``..``, and holding no ``/`` or NUL: a name that
+    stays inside the directory it is joined to."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
 
 
 def extract_speaker(audio_filename: str) -> str:
@@ -153,7 +162,8 @@ def filter_samples(pages: Iterable[PageRecord]
     the language tag must be LANGUAGE, the page must carry exactly one IPA
     pronunciation, that pronunciation must tokenize against the inventory,
     and its phoneme count must lie in [MIN_PHONEMES, MAX_PHONEMES]. Pair
-    level: the audio file must be an LL recording. A page with one IPA and
+    level: the audio file must be an LL recording with a plain file name
+    (``is_plain_name``). A page with one IPA and
     several audio files yields several samples sharing that IPA.
 
     Speaker extraction failure does not reject a sample: the speaker is
@@ -182,7 +192,7 @@ def filter_samples(pages: Iterable[PageRecord]
             if page_rule is not None:
                 stats.rejected_by_rule[page_rule] += 1
                 continue
-            if not audio.startswith("LL-"):
+            if not (audio.startswith("LL-") and is_plain_name(audio)):
                 stats.rejected_by_rule["ll_audio"] += 1
                 continue
             try:
@@ -292,8 +302,15 @@ def write_samples_csv(path: str | Path, samples: Iterable[SampleRecord]) -> None
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRecord]:
+    """The kept samples; an audio name that is not ``is_plain_name`` is a
+    MalformedRowError, as commands join it to their directories."""
     rows = _read_csv(path, SAMPLES_HEADER)
     if rows is None:
         raise MalformedRowError(1, f"expected header {','.join(SAMPLES_HEADER)}")
-    return [SampleRecord(word, audio, tokenize_ipa(ipa_text), speaker)
-            for word, audio, ipa_text, speaker in rows]
+    samples = []
+    for line_no, (word, audio, ipa_text, speaker) in rows:
+        if not is_plain_name(audio):
+            raise MalformedRowError(
+                line_no, f"audio {audio!r} is not a plain file name")
+        samples.append(SampleRecord(word, audio, tokenize_ipa(ipa_text), speaker))
+    return samples

@@ -354,8 +354,8 @@ def save_features(path: str | Path, features: np.ndarray) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Read a feature file; a malformed one is a FeatureFileError naming
-    ``path``. The payload length is checked against T x C from the file
+    """Read a feature file; a malformed or non-finite one is a FeatureFileError
+    naming ``path``. The payload length is checked against T x C from the file
     size before anything is read or allocated."""
     header_size = struct.calcsize("<4sHII")
     name = printable(path)
@@ -376,4 +376,6 @@ def load_features(path: str | Path) -> np.ndarray:
         data = np.empty((t, c), dtype="<f4")
         if f.readinto(data) != data.nbytes:
             raise FeatureFileError(f"{name}: truncated feature payload")
+    if not np.isfinite(data).all():
+        raise FeatureFileError(f"{name}: feature values that are NaN or infinite")
     return data

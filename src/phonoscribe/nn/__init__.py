@@ -9,7 +9,7 @@ from .layers import (
     ShapeMismatchError,
 )
 from .lstm import LSTM, BiLSTM
-from .model import OUTPUT_CLASSES, ModelConfig, TranscriptionModel
+from .model import INPUT_WIDTH, OUTPUT_CLASSES, ModelConfig, TranscriptionModel
 from .optim import AdamW
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "Conv1d",
     "DegenerateBatchError",
     "Dropout",
+    "INPUT_WIDTH",
     "LSTM",
     "Linear",
     "ModelConfig",

@@ -1,9 +1,10 @@
 """The transcription network: conv stack -> recurrent stack -> linear head.
 
-The layer graph is the paper's, with only its sizes settable:
-Conv1d, ReLU, BatchNorm twice; BiLSTM, BatchNorm, Dropout twice;
-then a per-frame Linear producing one logit row per frame over
-``OUTPUT_CLASSES`` classes (the last class is the CTC blank).
+The layer graph is the paper's, with only its widths and dropout settable:
+the ``INPUT_WIDTH`` pinned MFCCs of each frame in; Conv1d (kernel 3), ReLU,
+BatchNorm twice; BiLSTM, BatchNorm, Dropout twice; then a per-frame Linear
+producing one logit row per frame over ``OUTPUT_CLASSES`` classes (the last
+class is the CTC blank).
 """
 
 from __future__ import annotations
@@ -12,38 +13,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp import FeatureConfig
 from ..ipa import INVENTORY
 from ..settings import is_int, is_real
 from .checkpoint import copy_into
 from .layers import BatchNorm1d, Conv1d, Dropout, Linear, ReLU, collect
 from .lstm import BiLSTM
 
+INPUT_WIDTH = FeatureConfig.n_coefficients  # the MFCCs of one frame
 OUTPUT_CLASSES = len(INVENTORY) + 1  # the phonemes and the CTC blank
+CONV_LAYERS = 2
+CONV_KERNEL = 3
+LSTM_LAYERS = 2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    mfcc_coefficients: int = 40
-    conv_layers: int = 2
     conv_units: int = 128
-    conv_kernel: int = 3
-    lstm_layers: int = 2
     lstm_units: int = 512
     lstm_dropout: float = 0.5
 
     def __post_init__(self):
-        for name in ("mfcc_coefficients", "conv_layers", "conv_units",
-                     "conv_kernel", "lstm_layers", "lstm_units"):
+        for name in ("conv_units", "lstm_units"):
             if not is_int(getattr(self, name)):
                 raise TypeError(
                     f"{name} must be an integer, not {getattr(self, name)!r}")
-        if min(self.mfcc_coefficients, self.conv_units, self.lstm_units) <= 0:
+        if min(self.conv_units, self.lstm_units) <= 0:
             raise ValueError("all sizes must be positive")
-        if min(self.conv_layers, self.lstm_layers) < 0:
-            raise ValueError("layer counts must be >= 0")
-        if self.conv_kernel < 1 or self.conv_kernel % 2 != 1:
-            raise ValueError(
-                f"conv_kernel must be odd and >= 1, not {self.conv_kernel!r}")
         if not is_real(self.lstm_dropout):
             raise TypeError(
                 f"lstm_dropout must be a finite number, not {self.lstm_dropout!r}")
@@ -65,17 +61,17 @@ class TranscriptionModel:
         self.dropout_seed = 0
         self._layers: list[tuple[str, object]] = []
 
-        width = config.mfcc_coefficients
-        for i in range(1, config.conv_layers + 1):
+        width = INPUT_WIDTH
+        for i in range(1, CONV_LAYERS + 1):
             self._layers += [
                 (f"conv{i}",
-                 Conv1d(width, config.conv_units, config.conv_kernel, rng, dtype)),
+                 Conv1d(width, config.conv_units, CONV_KERNEL, rng, dtype)),
                 (f"conv{i}_relu", ReLU()),
                 (f"conv{i}_bn", BatchNorm1d(config.conv_units, dtype=dtype)),
             ]
             width = config.conv_units
 
-        for i in range(1, config.lstm_layers + 1):
+        for i in range(1, LSTM_LAYERS + 1):
             self._layers += [
                 (f"lstm{i}", BiLSTM(width, config.lstm_units, rng, dtype)),
                 (f"lstm{i}_bn", BatchNorm1d(2 * config.lstm_units, dtype=dtype)),
@@ -86,7 +82,7 @@ class TranscriptionModel:
         self._layers.append(("out", Linear(width, OUTPUT_CLASSES, rng, dtype)))
 
     def forward(self, x: np.ndarray, train: bool = False, step: int = 0):
-        """(B, T, mfcc_coefficients) -> logits (B, T, OUTPUT_CLASSES).
+        """(B, T, INPUT_WIDTH) -> logits (B, T, OUTPUT_CLASSES).
 
         In eval mode (``train=False``) each layer's backward cache is
         dropped as soon as the layer has returned: no backward follows."""

@@ -6,8 +6,8 @@ Update per parameter w with gradient g:
     v = b2 * v + (1 - b2) * g^2
     w -= lr * wd * w + lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-Both subtracted terms use the pre-step w, and b1, b2 and eps are the fixed
-BETA1, BETA2 and EPS below. With wd = 0 this is exactly Adam.
+Both subtracted terms use the pre-step w; b1, b2, eps and the default wd are
+the fixed BETA1, BETA2, EPS and WEIGHT_DECAY below. With wd = 0 this is Adam.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from .layers import ShapeMismatchError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-4, weight_decay=0.01):
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-4,
+                 weight_decay=WEIGHT_DECAY):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

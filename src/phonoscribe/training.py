@@ -25,6 +25,8 @@ from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
 from .nn import (OUTPUT_CLASSES, AdamW, CheckpointError, ModelConfig,
                  TranscriptionModel, load_checkpoint, save_checkpoint)
+from .nn.model import CONV_KERNEL, CONV_LAYERS, INPUT_WIDTH, LSTM_LAYERS
+from .nn.optim import WEIGHT_DECAY
 from .settings import is_int, is_real, printable
 
 
@@ -61,10 +63,17 @@ def require_object(value, what: str) -> dict:
 
 
 def parse_settings(cls, d: dict, block: str):
-    """``cls(**d)``; a ``d`` that is not an object, a key ``cls`` lacks
-    (escaped, so the message stays one line), or a value ``cls`` rejects is
-    a ConfigError naming ``block``."""
-    require_object(d, f"the {block} block")
+    """``cls(**d)`` once the ``RETIRED_KEYS`` of ``block`` are dropped; a
+    ``d`` that is not an object, a retired key at another value, a key
+    ``cls`` lacks (escaped, so the message stays one line), or a value
+    ``cls`` rejects is a ConfigError naming ``block``."""
+    d = dict(require_object(d, f"the {block} block"))
+    for key, fixed in RETIRED_KEYS.get(block, {}).items():
+        value = d.pop(key, fixed)
+        types = (int, float) if type(fixed) is float else (type(fixed),)
+        if type(value) not in types or value != fixed:
+            raise ConfigError(f"invalid {block} block: {block} {key} "
+                              f"must be {json.dumps(fixed)}, not {value!r}")
     unknown = sorted(printable(k) for k in set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {block} key(s): {', '.join(unknown)}")
@@ -75,13 +84,16 @@ def parse_settings(cls, d: dict, block: str):
 
 
 # Per block, the keys that files of an earlier form hold, with the one value
-# each has now: the layer graph's retired switches at the graph that is
-# built, and the pinned featurization settings. A block may hold one at
-# exactly that value, and it is dropped. A real may be any JSON number
-# (2 for 2.0); any other value needs the same JSON type (not 1 for true,
-# nor 38.0 for 38 or 16000.0 for 16000).
+# each has now: the weight decay, the layer graph's retired settings at the
+# graph that is built, and the pinned featurization. A block may hold one at
+# exactly that value, and it is dropped. A real may be any JSON number (2 for
+# 2.0); any other value needs the same JSON type (not 1 for true, nor 38.0
+# for 38 or 16000.0 for 16000).
 RETIRED_KEYS = {
-    "model": {"conv_activation": "relu", "conv_batchnorm": True,
+    "train": {"weight_decay": WEIGHT_DECAY},
+    "model": {"mfcc_coefficients": INPUT_WIDTH, "conv_layers": CONV_LAYERS,
+              "conv_kernel": CONV_KERNEL, "lstm_layers": LSTM_LAYERS,
+              "conv_activation": "relu", "conv_batchnorm": True,
               "lstm_bidirectional": True, "lstm_batchnorm": True,
               "output_classes": OUTPUT_CLASSES},
     "features": {name: value for name, value in vars(FeatureConfig).items()
@@ -112,7 +124,6 @@ class TrainConfig:
     eval_batches: int = 39
     seed: int = 0
     lr: float = 1e-4
-    weight_decay: float = 0.01
     model: ModelConfig = field(default_factory=ModelConfig)
     norm: FeatureNorm = field(default_factory=lambda: dsp.DEFAULT_NORM)
     stop_at_eval_accuracy: float | None = None
@@ -131,9 +142,6 @@ class TrainConfig:
                     f"{name} must be an integer >= {least}, not {value!r}")
         if not is_real(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be positive and finite, not {self.lr!r}")
-        if not is_real(self.weight_decay) or self.weight_decay < 0:
-            raise ValueError(
-                f"weight_decay must be >= 0 and finite, not {self.weight_decay!r}")
         accuracy = self.stop_at_eval_accuracy
         if accuracy is not None and not (is_real(accuracy) and 0.0 <= accuracy <= 1.0):
             raise ValueError(
@@ -147,16 +155,8 @@ class TrainConfig:
         d = dict(require_object(d, "the train block"))
         for block, settings_cls in (("model", ModelConfig), ("norm", FeatureNorm),
                                     ("features", FeatureConfig)):
-            if block not in d:
-                continue
-            settings = dict(require_object(d[block], f"the {block} block"))
-            for key, fixed in RETIRED_KEYS.get(block, {}).items():
-                value = settings.pop(key, fixed)
-                types = (int, float) if type(fixed) is float else (type(fixed),)
-                if type(value) not in types or value != fixed:
-                    raise ConfigError(f"invalid {block} block: {block} {key} "
-                                      f"must be {json.dumps(fixed)}, not {value!r}")
-            d[block] = parse_settings(settings_cls, settings, block)
+            if block in d:
+                d[block] = parse_settings(settings_cls, d[block], block)
         d.pop("features", None)  # pinned: checked above, nothing to set
         return parse_settings(cls, d, "train")
 
@@ -347,8 +347,7 @@ def train_run(
 
     model = TranscriptionModel(config.model, rng=_rng(config.seed, 0))
     model.dropout_seed = config.seed
-    optimizer = AdamW(model.parameters(), lr=config.lr,
-                      weight_decay=config.weight_decay)
+    optimizer = AdamW(model.parameters(), lr=config.lr)
 
     start_epoch = 0
     step = 0

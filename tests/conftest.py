@@ -61,6 +61,11 @@ def layer_memory():
             TranscriptionModel.__init__ = build
 
 
+# The smallest model the tests train and decode with: the pinned graph at
+# widths of 8, without dropout.
+TINY_MODEL = ModelConfig(conv_units=8, lstm_units=8, lstm_dropout=0.0)
+
+
 # Reduced-model training setup for the synthetic-corpus gate; deterministic
 # end to end (corpus synthesis, split, init, batch order).
 OVERFIT_SEED = 7

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import TINY_MODEL
 from oracles import (
     ctc_brute_force,
     finite_difference,
@@ -28,11 +29,11 @@ from phonoscribe.analysis import PredictionPair
 from phonoscribe.corpus import PageRecord, filter_samples
 from phonoscribe.ipa import INVENTORY, levenshtein, render_ipa, tokenize_ipa
 from phonoscribe.nn import (
+    INPUT_WIDTH,
     BatchNorm1d,
     Conv1d,
     LSTM,
     Linear,
-    ModelConfig,
     ReLU,
     TranscriptionModel,
 )
@@ -148,8 +149,7 @@ def test_criterion_2_gradient_checks():
         assert relative_error(grad, numeric) < 1e-6
 
     # full composed model at reduced widths, CTC on top
-    config = ModelConfig(mfcc_coefficients=6, conv_units=8, conv_kernel=3,
-                         lstm_units=8, lstm_dropout=0.0)
+    config = TINY_MODEL
 
     def min_relu_input(model, x):
         # smallest |conv output|: finite differences are only trustworthy
@@ -170,7 +170,7 @@ def test_criterion_2_gradient_checks():
         i = seed
         rng = np.random.default_rng(seed)
         model = TranscriptionModel(config, rng=rng, dtype=np.float64)
-        x = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(2, 6, INPUT_WIDTH))
         if min_relu_input(model, x) < 1e-3:
             continue
         checked += 1

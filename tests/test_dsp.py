@@ -386,6 +386,15 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError, match=str(path)):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        features = np.zeros((3, 4), dtype=np.float32)
+        features[1, 2] = value
+        path = tmp_path / "x.phfm"
+        save_features(path, features)
+        with pytest.raises(FeatureFileError, match=f"{path}: .*NaN or infinite"):
+            load_features(path)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.one_of(
@@ -404,3 +413,4 @@ class TestFeatureFiles:
         t, c = struct.unpack_from("<II", data, 6)
         assert features.shape == (t, c)
         assert features.dtype == np.float32
+        assert np.isfinite(features).all()

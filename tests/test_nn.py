@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import struct
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_bytes
+from conftest import TINY_MODEL, numpy_bytes
 from oracles import finite_difference, naive_lstm, relative_error
 from phonoscribe.nn import (
     AdamW,
@@ -17,6 +18,7 @@ from phonoscribe.nn import (
     Conv1d,
     DegenerateBatchError,
     Dropout,
+    INPUT_WIDTH,
     LSTM,
     Linear,
     ModelConfig,
@@ -622,17 +624,16 @@ class TestAdamW:
 
 
 class TestModel:
-    SMALL = ModelConfig(mfcc_coefficients=6, conv_units=8, conv_kernel=3,
-                        lstm_units=8, lstm_dropout=0.0)
+    SMALL = TINY_MODEL
 
     def test_output_shape(self):
         model = TranscriptionModel(self.SMALL, rng=rng64(60))
-        x = rng64(61).normal(size=(3, 7, 6)).astype(np.float32)
+        x = rng64(61).normal(size=(3, 7, INPUT_WIDTH)).astype(np.float32)
         assert model.forward(x).shape == (3, 7, 38)
 
     def test_eval_mode_deterministic_and_pure(self):
         model = TranscriptionModel(self.SMALL, rng=rng64(62))
-        x = rng64(63).normal(size=(2, 7, 6)).astype(np.float32)
+        x = rng64(63).normal(size=(2, 7, INPUT_WIDTH)).astype(np.float32)
         before = {k: v.copy() for k, v in model.buffers().items()}
         first = model.forward(x, train=False)
         second = model.forward(x, train=False)
@@ -642,16 +643,15 @@ class TestModel:
 
     def test_forward_single(self):
         model = TranscriptionModel(self.SMALL, rng=rng64(64))
-        features = rng64(65).normal(size=(7, 6)).astype(np.float32)
+        features = rng64(65).normal(size=(7, INPUT_WIDTH)).astype(np.float32)
         single = model.forward_single(features)
         batched = model.forward(features[None], train=False)[0]
         assert np.array_equal(single, batched)
 
     def test_dropout_seed_changes_train_forward(self):
-        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.5)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.5)
         model = TranscriptionModel(config, rng=rng64(66))
-        x = rng64(67).normal(size=(2, 7, 6)).astype(np.float32)
+        x = rng64(67).normal(size=(2, 7, INPUT_WIDTH)).astype(np.float32)
         model.dropout_seed = 1
         first = model.forward(x, train=True, step=0)
         model.dropout_seed = 2
@@ -693,12 +693,11 @@ class TestModel:
         assert np.all(model.buffers()["conv1_bn.running_var"] == 3.0)
 
     def test_train_forward_is_the_layer_stack_with_the_dropout_key(self):
-        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.5)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.5)
         model = TranscriptionModel(config, rng=rng64(68))
         twin = TranscriptionModel(config, rng=rng64(68))
         model.dropout_seed = 7
-        x = rng64(69).normal(size=(2, 7, 6)).astype(np.float32)
+        x = rng64(69).normal(size=(2, 7, INPUT_WIDTH)).astype(np.float32)
         h = x
         for _, layer in twin._layers:
             h = layer.forward(h, (7, 3))
@@ -709,11 +708,10 @@ class TestModel:
     def test_train_step_frees_its_activations(self):
         # Of the arrays one train step allocates, only the gradients
         # outlive it: each backward frees its layer's forward cache.
-        config = ModelConfig(mfcc_coefficients=8, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.3)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.3)
         model = TranscriptionModel(config, rng=rng64(70))
         optimizer = AdamW(model.parameters())
-        x = rng64(71).normal(size=(4, 200, 8)).astype(np.float32)
+        x = rng64(71).normal(size=(4, 200, INPUT_WIDTH)).astype(np.float32)
 
         with numpy_bytes() as usage:
             logits = model.forward(x, train=True, step=0)
@@ -727,10 +725,9 @@ class TestModel:
         assert held <= grad_bytes
 
     def test_eval_forward_keeps_no_cache(self):
-        config = ModelConfig(mfcc_coefficients=8, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.3)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.3)
         model = TranscriptionModel(config, rng=rng64(72))
-        x = rng64(73).normal(size=(3, 50, 8)).astype(np.float32)
+        x = rng64(73).normal(size=(3, 50, INPUT_WIDTH)).astype(np.float32)
         with numpy_bytes() as usage:
             logits = model.forward(x, train=False)
             held, _ = usage()
@@ -739,11 +736,10 @@ class TestModel:
             assert layer._cache is None, name
 
     def test_eval_forward_leaves_training_as_it_was(self):
-        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.5)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.5)
         model = TranscriptionModel(config, rng=rng64(74))
         twin = TranscriptionModel(config, rng=rng64(74))
-        x = rng64(75).normal(size=(2, 9, 6)).astype(np.float32)
+        x = rng64(75).normal(size=(2, 9, INPUT_WIDTH)).astype(np.float32)
         dlogits = rng64(76).normal(size=(2, 9, 38)).astype(np.float32)
         model.forward(x, train=False)
         for m in (model, twin):
@@ -755,7 +751,7 @@ class TestModel:
 
 
 class TestLayerProtocol:
-    CONFIG = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8)
+    CONFIG = TINY_MODEL
 
     def test_every_forward_takes_x_and_ctx(self):
         model = TranscriptionModel(self.CONFIG)
@@ -767,10 +763,9 @@ class TestLayerProtocol:
             assert params[2].default is None, cls
 
     def test_each_layer_keeps_its_backward_cache_in_one_attribute(self):
-        config = ModelConfig(mfcc_coefficients=6, conv_units=8, lstm_units=8,
-                             lstm_dropout=0.5)
+        config = dataclasses.replace(TINY_MODEL, lstm_dropout=0.5)
         model = TranscriptionModel(config, rng=rng64(77))
-        h = rng64(78).normal(size=(2, 5, 6)).astype(np.float32)
+        h = rng64(78).normal(size=(2, 5, INPUT_WIDTH)).astype(np.float32)
         for name, layer in model._layers:
             assert layer._cache is None, name
             h = layer.forward(h, TRAIN)
@@ -811,58 +806,48 @@ class TestLayerProtocol:
 
 class TestModelConfig:
     @pytest.mark.parametrize("field, value, message", [
-        ("conv_kernel", 2, "conv_kernel must be odd"),
-        ("conv_kernel", 0, "conv_kernel must be odd"),
-        ("conv_kernel", -1, "conv_kernel must be odd"),
-        ("conv_layers", -1, "layer counts"),
-        ("lstm_layers", -1, "layer counts"),
+        ("conv_units", 0, "sizes must be positive"),
         ("lstm_units", 0, "sizes must be positive"),
         ("lstm_dropout", 1.0, "lstm_dropout"),
+        ("lstm_dropout", -0.1, "lstm_dropout"),
     ])
     def test_rejects_bad_values(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_kernel", "3"),
+        ("lstm_units", "big"), ("lstm_dropout", None), ("conv_units", "3"),
         ("lstm_dropout", False), ("lstm_dropout", "0.5"),
-        ("lstm_units", 2.5), ("conv_kernel", 3.0), ("conv_layers", True)])
+        ("lstm_units", 2.5), ("conv_units", 3.0), ("conv_units", True)])
     def test_rejects_non_numbers(self, field, value):
         with pytest.raises(TypeError):
             ModelConfig(**{field: value})
 
     def test_accepts_edge_values(self):
-        config = ModelConfig(conv_layers=0, lstm_layers=0, conv_kernel=1,
-                             lstm_dropout=0.0)
+        config = ModelConfig(conv_units=1, lstm_units=1, lstm_dropout=0.0)
         params = TranscriptionModel(config).parameters()
-        assert sum(v.size for v in params.values()) == 40 * 38 + 38
+        assert sum(v.size for v in params.values()) == param_count(1, 1)
+
+
+def param_count(conv_units, lstm_units):
+    """The trainable parameters of the pinned graph at these widths."""
+    c, h = conv_units, lstm_units
+    conv = (3 * INPUT_WIDTH * c + c) + (3 * c * c + c) + 2 * (2 * c)
+    lstm = 2 * (4 * h * (c + h) + 4 * h) + 2 * (4 * h * (2 * h + h) + 4 * h)
+    return conv + lstm + 2 * (2 * 2 * h) + (2 * h * 38 + 38)
 
 
 class TestCountParams:
-    def test_single_linear(self):
-        config = ModelConfig(conv_layers=0, lstm_layers=0,
-                             mfcc_coefficients=40)
-        params = TranscriptionModel(config).parameters()
-        assert sum(v.size for v in params.values()) == 40 * 38 + 38
-
-    def test_one_conv_layer(self):
-        config = ModelConfig(conv_layers=1, conv_units=128, conv_kernel=3,
-                             lstm_layers=0, mfcc_coefficients=40)
-        expected = (3 * 40 * 128 + 128) + 2 * 128 + (128 * 38 + 38)
-        params = TranscriptionModel(config).parameters()
-        assert sum(v.size for v in params.values()) == expected
-
     def test_default_config_pinned(self):
         # Regression constant for the shipped architecture.
         params = TranscriptionModel(ModelConfig()).parameters()
         assert sum(v.size for v in params.values()) == 9_029_414
+        assert param_count(128, 512) == 9_029_414
 
     def test_excludes_running_stats(self):
-        with_bn = ModelConfig(conv_layers=1, conv_units=8, lstm_layers=0,
-                              mfcc_coefficients=4)
-        model = TranscriptionModel(with_bn)
+        model = TranscriptionModel(TINY_MODEL)
         total = sum(v.size for v in model.parameters().values())
-        assert total == (3 * 4 * 8 + 8) + 2 * 8 + (8 * 38 + 38)
+        assert total == param_count(8, 8)
         assert "conv1_bn.running_mean" in model.buffers()
         assert "conv1_bn.running_mean" not in model.parameters()
 
@@ -917,8 +902,7 @@ class TestCheckpointFile:
 
     def test_copied_arrays_read_the_same_after_their_pages_are_dropped(
             self, tmp_path):
-        model = TranscriptionModel(ModelConfig(mfcc_coefficients=6, conv_units=8,
-                                               lstm_units=8), rng=rng64(79))
+        model = TranscriptionModel(TINY_MODEL, rng=rng64(79))
         path = tmp_path / "x.phck"
         save_checkpoint(path, {}, model.parameters())
         _, loaded = load_checkpoint(path)
