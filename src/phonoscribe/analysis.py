@@ -76,6 +76,7 @@ class ErrorPair:
 @dataclass
 class SuspectRow:
     word: str
+    audio_filename: str
     target_ipa: str
     predicted_ipa: str
     distance: int
@@ -168,6 +169,7 @@ def suspects(pairs: Sequence[PredictionPair]) -> list[SuspectRow]:
     rows = [
         SuspectRow(
             word=p.word,
+            audio_filename=p.audio_filename,
             target_ipa=render_ipa(p.target),
             predicted_ipa=render_ipa(p.predicted),
             distance=p.distance,

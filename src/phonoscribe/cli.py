@@ -125,7 +125,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    config = read_config(args.config)
+    read_config(args.config)  # checked as train checks it; sets nothing here
     samples = corpus.read_samples_csv(args.samples)
     cache = Path(args.cache)
     out_dir = Path(args.out)
@@ -143,12 +143,7 @@ def cmd_featurize(args) -> int:
             print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
             yield features
 
-    if args.norm == "compute":  # the norm sums each matrix as it is written
-        norm = dsp.compute_norm(write_features())
-    else:
-        for _ in write_features():
-            pass
-        norm = config.norm
+    norm = dsp.compute_norm(write_features())  # sums each matrix as it is written
     with open(out_dir / "norm.json", "w", encoding="utf-8") as f:
         json.dump({"mean": norm.mean, "std": norm.std}, f, sort_keys=True)
     _err(f"featurized {len(samples)} file(s); norm mean={norm.mean} std={norm.std}")
@@ -299,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--cache", required=True, help="directory with WAV files")
     p.add_argument("--out", required=True, help="feature output directory")
-    p.add_argument("--norm", choices=["compute", "use"], default="compute",
-                   help="recompute standardization constants or use preset ones")
+    p.add_argument("--norm", choices=["compute"],
+                   help="the standardization constants are always computed; "
+                   "a preset pair goes in train --config's norm block")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_featurize)
 

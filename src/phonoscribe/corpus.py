@@ -302,8 +302,9 @@ def write_samples_csv(path: str | Path, samples: Iterable[SampleRecord]) -> None
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRecord]:
-    """The kept samples; an audio name that is not ``is_plain_name`` is a
-    MalformedRowError, as commands join it to their directories."""
+    """The kept samples; an audio name that is not ``is_plain_name`` (as
+    commands join it to their directories) or an IPA that does not tokenize
+    is a MalformedRowError naming the line."""
     rows = _read_csv(path, SAMPLES_HEADER)
     if rows is None:
         raise MalformedRowError(1, f"expected header {','.join(SAMPLES_HEADER)}")
@@ -312,5 +313,9 @@ def read_samples_csv(path: str | Path) -> list[SampleRecord]:
         if not is_plain_name(audio):
             raise MalformedRowError(
                 line_no, f"audio {audio!r} is not a plain file name")
-        samples.append(SampleRecord(word, audio, tokenize_ipa(ipa_text), speaker))
+        try:
+            ipa = tokenize_ipa(ipa_text)
+        except UnknownSymbolError as e:
+            raise MalformedRowError(line_no, f"ipa {ipa_text!r}: {e}") from e
+        samples.append(SampleRecord(word, audio, ipa, speaker))
     return samples

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..settings import printable
 from .layers import ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"PHCK"
@@ -59,9 +60,13 @@ def save_checkpoint(path: str | Path, meta: dict,
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """``(meta, arrays)``: the config block and every array, by name, as a
-    read-only view of a map of the file."""
+    read-only view of a map of the file. A malformed header is a
+    CheckpointError naming the file."""
     with open(path, "rb") as f:
-        meta, index = _read_index(f)
+        try:
+            meta, index = _read_index(f)
+        except CheckpointError as e:
+            raise CheckpointError(f"{printable(path)}: {e}") from e
         raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return meta, {name: np.frombuffer(raw, dtype="<f4", count=math.prod(shape),
                                       offset=offset).reshape(shape)
@@ -121,7 +126,8 @@ def _read_index(f) -> tuple[dict, dict[str, tuple[int, tuple[int, ...]]]]:
 
 def copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
               kind: str) -> None:
-    """Copy ``values`` into ``own`` by name; names and shapes must match.
+    """Copy ``values`` into ``own`` by name; names and shapes must match,
+    and each copy must hold finite values only (a CheckpointError if not).
 
     Each value that is a view ``load_checkpoint`` returned has its mapped
     pages dropped from the process once it is copied (a later read maps them
@@ -137,6 +143,8 @@ def copy_into(own: dict[str, np.ndarray], values: dict[str, np.ndarray],
                 f"{name}: expected {own[name].shape}, got {value.shape}")
         own[name][...] = value
         _drop_pages(value)
+        if not np.isfinite(own[name]).all():  # the copy: no page is read again
+            raise CheckpointError(f"{kind} {name}: values that are NaN or infinite")
 
 
 def _drop_pages(array: np.ndarray) -> None:

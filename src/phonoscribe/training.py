@@ -24,7 +24,8 @@ from . import ctc, dsp
 from .dsp import FeatureConfig, FeatureNorm
 from .ipa import INVENTORY, PhonemeSeq, render_ipa
 from .nn import (OUTPUT_CLASSES, AdamW, CheckpointError, ModelConfig,
-                 TranscriptionModel, load_checkpoint, save_checkpoint)
+                 ShapeMismatchError, TranscriptionModel, load_checkpoint,
+                 save_checkpoint)
 from .nn.model import CONV_KERNEL, CONV_LAYERS, INPUT_WIDTH, LSTM_LAYERS
 from .nn.optim import WEIGHT_DECAY
 from .settings import is_int, is_real, printable
@@ -189,17 +190,18 @@ class Checkpoint:
     optimizer_t: int = 0
     epoch: int = 0
     step: int = 0
+    # The name that ``restore`` errors give: the file's, once loaded.
+    source: str = field(default="checkpoint", init=False, repr=False,
+                        compare=False)
 
     def save(self, path: str | Path) -> None:
         meta = {
             "train_config": self.config.to_dict(),
-            "blank_id": OUTPUT_CLASSES - 1,
             "progress": {
                 "epoch": self.epoch,
                 "step": self.step,
                 "optimizer_t": self.optimizer_t,
             },
-            "has_optimizer": self.optimizer is not None,
             "thread_vars": thread_vars(),
         }
         arrays = {f"param/{k}": v for k, v in self.params.items()}
@@ -231,17 +233,31 @@ class Checkpoint:
             if not is_int(value) or value < 0:
                 raise CheckpointError(f"{file_name}: progress {name} must be an "
                                       f"integer >= 0, not {value!r}")
-        return cls(
+        checkpoint = cls(
             config=config,
             params=sections["param"],
             buffers=sections["buffer"],
             optimizer=sections["opt"] or None,
             **counts,
         )
+        checkpoint.source = file_name
+        return checkpoint
+
+    def restore(self, model: TranscriptionModel,
+                optimizer: AdamW | None = None) -> None:
+        """Copy the parameters and buffers into ``model`` and, if both
+        exist, the AdamW state into ``optimizer``. An array whose name,
+        shape or values do not fit is a CheckpointError naming the file."""
+        try:
+            model.load_arrays(self.params, self.buffers)
+            if optimizer is not None and self.optimizer is not None:
+                optimizer.load_state(self.optimizer, self.optimizer_t)
+        except (CheckpointError, ShapeMismatchError) as e:
+            raise CheckpointError(f"{self.source}: {e}") from e
 
     def build_model(self) -> TranscriptionModel:
         model = TranscriptionModel(self.config.model)
-        model.load_arrays(self.params, self.buffers)
+        self.restore(model)
         model.dropout_seed = self.config.seed
         return model
 
@@ -353,9 +369,7 @@ def train_run(
     step = 0
     if resume_from is not None:
         _check_resumable(resume_from.config, config)
-        model.load_arrays(resume_from.params, resume_from.buffers)
-        if resume_from.optimizer is not None:
-            optimizer.load_state(resume_from.optimizer, resume_from.optimizer_t)
+        resume_from.restore(model, optimizer)
         start_epoch = resume_from.epoch
         step = resume_from.step
 

@@ -229,6 +229,17 @@ class TestSuspects:
     def test_empty_input(self):
         assert suspects([]) == []
 
+    def test_rows_name_the_recording(self, tmp_path):
+        # two recordings of one word: only the file tells the rows apart
+        pairs = [pair("wi", "ku", word="oui", filename="LL-a.wav"),
+                 pair("wi", "ku", word="oui", filename="LL-b.wav")]
+        assert [r.audio_filename for r in suspects(pairs)] == ["LL-a.wav",
+                                                              "LL-b.wav"]
+        write_report_bundle(tmp_path, build_report(pairs))
+        data = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert [r["audio_filename"] for r in data["suspects"]] == [
+            "LL-a.wav", "LL-b.wav"]
+
 
 class TestLengthAccuracy:
     def test_partition_means(self):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -138,6 +139,17 @@ class TestFetchCommand:
         assert run(["fetch", "--samples", samples, "--cache", cache]) == 0
         assert capsys.readouterr().out == "CACHED\ta.wav\n"
 
+    def test_audio_listed_twice_fetched_once(self, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "_urllib_transport",
+                            lambda url: calls.append(url) or b"RIFFdata")
+        cache = tmp_path / "cache"
+        samples = sample_csv(tmp_path, [BONJOUR_AUDIO, BONJOUR_AUDIO])
+        assert run(["fetch", "--samples", samples, "--cache", cache]) == 0
+        assert capsys.readouterr().out == f"OK\t{BONJOUR_AUDIO}\n"
+        assert len(calls) == 1
+
     def test_404_listed_in_failures(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -225,16 +237,33 @@ class TestFeaturizeCommand:
         assert norm["mean"] == pytest.approx(want.mean, rel=1e-5)
         assert norm["std"] == pytest.approx(want.std, rel=1e-5)
 
-    def test_norm_use_echoes_shipped_constants(self, tmp_path):
+    def test_norm_flag_changes_nothing(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()
         make_wav(cache / "a.wav")
         samples = sample_csv(tmp_path, ["a.wav"])
-        out = tmp_path / "features"
-        assert run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", out, "--norm", "use"]) == 0
-        norm = json.loads((out / "norm.json").read_text())
-        assert norm == {"mean": -11.48, "std": 80.30}
+        outputs = []
+        for flags in ([], ["--norm", "compute"]):
+            out = tmp_path / f"features{len(flags)}"
+            assert run(["featurize", "--samples", samples, "--cache", cache,
+                        "--out", out, *flags]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs.append((capsys.readouterr(), files))
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0][1]) == ["a.wav.phfm", "norm.json"]
+
+    def test_norm_use_is_a_usage_error(self, tmp_path, capsys):
+        # a preset pair goes in train --config's norm block instead
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        make_wav(cache / "a.wav")
+        samples = sample_csv(tmp_path, ["a.wav"])
+        with pytest.raises(SystemExit) as exit_info:
+            run(["featurize", "--samples", samples, "--cache", cache,
+                 "--out", tmp_path / "features", "--norm", "use"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'use'" in capsys.readouterr().err
+        assert not (tmp_path / "features").exists()
 
     def test_non_16k_input_resampled(self, tmp_path):
         cache = tmp_path / "cache"
@@ -255,8 +284,7 @@ class TestFeaturizeCommand:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({block: {"bogus": 1}}))
         assert run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", tmp_path / "features", "--norm", "use",
-                    "--config", config]) == 2
+                    "--out", tmp_path / "features", "--config", config]) == 2
         assert f"unknown {block} key(s): bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_json, message", [
@@ -286,7 +314,7 @@ class TestFeaturizeCommand:
         # The samples CSV does not exist, so reading it would exit 1.
         assert run(["featurize", "--samples", tmp_path / "missing.csv",
                     "--cache", tmp_path, "--out", tmp_path / "features",
-                    "--norm", "use", "--config", path]) == 2
+                    "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert message in err
@@ -393,6 +421,19 @@ class TestTrainCommand:
         written = json.loads((run_dir / "config.json").read_text())
         assert written["epochs"] == 2
 
+    def test_config_norm_block_overrides_norm_file(self, tmp_path):
+        # featurize always writes a computed norm.json; a preset pair goes
+        # in the config's norm block
+        samples, features = featurized_fixture(tmp_path)
+        config = json.loads(tiny_config_file(tmp_path).read_text())
+        config["norm"] = {"mean": -11.48, "std": 80.30}
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(config))
+        assert run(["train", "--features", features, "--samples", samples,
+                    "--run-dir", tmp_path / "run", "--config", path]) == 0
+        checkpoint = Checkpoint.load(tmp_path / "run" / "epoch_1.phck")
+        assert checkpoint.config.norm == dsp.DEFAULT_NORM
+
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         samples, features = featurized_fixture(tmp_path)
         config = tiny_config_file(tmp_path)
@@ -453,7 +494,7 @@ class TestTrainCommand:
         assert run(common + ["--epochs", 2, "--resume", path]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: ") and "m/out.b" in err
+        assert err.startswith(f"error: {path}: ") and "m/out.b" in err
 
     @pytest.mark.parametrize("block, key, value, field", [
         ("train", "seed", 6, "seed"),
@@ -671,6 +712,8 @@ class TestEvalCommand:
         assert summary["exact_match_accuracy"] == 1.0
         report = json.loads((report_dir / "report.json").read_text("utf-8"))
         assert report["exact_match_accuracy"] == 1.0
+        assert [r["audio_filename"] for r in report["suspects"]] == [
+            "w0.wav", "w1.wav"]
         assert (report_dir / "report.md").exists()
         assert (report_dir / "confusion.csv").exists()
 
@@ -745,7 +788,7 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {path}: ")
 
     def test_suspects_keep_the_full_ranking(self, tmp_path, capsys):
         # zero weights decode every clip to "i": 25 suspects at distance 2
@@ -917,7 +960,17 @@ class TestInferCommand:
         wav = tmp_path / "a.wav"
         make_wav(wav)
         assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
-        assert "truncated checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {checkpoint}: truncated checkpoint\n"
+
+    def test_bad_magic_exits_one_naming_the_file(self, tmp_path, capsys):
+        checkpoint = tmp_path / "model.phck"
+        checkpoint.write_bytes(b"XXXX" + b"\0" * 32)
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        assert run(["infer", "--checkpoint", checkpoint, wav]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {checkpoint}: bad magic b'XXXX'\n"
 
 
 # The keys of the graph's retired sizes and switches at the value each has
@@ -1171,6 +1224,23 @@ class TestReadmeConfigExample:
         assert "features" not in json.loads(example)
 
 
+class TestReadmeWorkflow:
+    def test_every_command_parses(self):
+        # A flag retired from the parser but left in README fails here.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("## Workflow", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("phonoscribe ")]
+        assert [c.split()[1] for c in commands] == [
+            "filter", "fetch", "featurize", "train", "eval", "infer",
+            "suspects", "inventory"]
+        parser = cli.build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
+
+
 class TestSuspectsCommand:
     def write_report(self, tmp_path, rows):
         report_dir = tmp_path / "report"
@@ -1318,7 +1388,7 @@ NOT_PLAIN_NAMES = {"empty": '""', "dot": ".", "dot-dot": "..",
 class TestBadSamplesCsv:
     @pytest.mark.parametrize("command", ["fetch", "featurize", "train", "eval"])
     @pytest.mark.parametrize("defect", ["missing", "not-utf8", "oversized-field",
-                                        *NOT_PLAIN_NAMES])
+                                        "unknown-ipa", *NOT_PLAIN_NAMES])
     def test_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch,
                                      command, defect):
         def explode(url):
@@ -1332,6 +1402,8 @@ class TestBadSamplesCsv:
         elif defect == "oversized-field":
             field = b"x" * (csv.field_size_limit() + 1)
             samples.write_bytes(header + field + b",a.wav,wi,A\n")
+        elif defect == "unknown-ipa":
+            samples.write_bytes(header + b"w,a.wav,qqq,A\n")
         elif defect in NOT_PLAIN_NAMES:
             samples.write_text(f"word,audio,ipa,speaker\nw,{NOT_PLAIN_NAMES[defect]},"
                                "wi,A\n", encoding="utf-8")
@@ -1343,6 +1415,9 @@ class TestBadSamplesCsv:
         assert err.startswith("error: ")
         if defect == "oversized-field":
             assert err.startswith("error: line 2: ")
+        if defect == "unknown-ipa":
+            assert err == ("error: line 2: ipa 'qqq': unknown symbol 'q' "
+                           "(U+0071) at position 0\n")
         if defect in NOT_PLAIN_NAMES:
             assert err.startswith("error: line 2: audio ")
             assert err.endswith(" is not a plain file name\n")
@@ -1595,14 +1670,13 @@ class TestNonFiniteWav:
     """A float32 WAV with a NaN or infinite sample is rejected at
     ``decode_wav``, so no non-finite feature is written."""
 
-    @pytest.mark.parametrize("norm", ["use", "compute"])
-    def test_featurize_exits_one_naming_the_file(self, tmp_path, capsys, norm):
+    def test_featurize_exits_one_naming_the_file(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()
         float32_wav(cache / "a.wav", np.nan)
         samples = sample_csv(tmp_path, ["a.wav"])
         code = run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", tmp_path / "features", "--norm", norm])
+                    "--out", tmp_path / "features", "--norm", "compute"])
         err = capsys.readouterr().err
         assert_clean_exit(code, err)
         assert code == 1
@@ -1619,6 +1693,55 @@ class TestNonFiniteWav:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"{wav}\tstage 'decode_wav': ")
+
+
+def with_array_value(checkpoint, key, value):
+    """Rewrite ``checkpoint`` with the first value of array ``key`` set to
+    ``value``."""
+    meta, arrays = load_checkpoint(checkpoint)
+    arrays = {name: array.copy() for name, array in arrays.items()}
+    arrays[key].flat[0] = value
+    save_checkpoint(checkpoint, meta, arrays)
+
+
+class TestNonFiniteCheckpoint:
+    """A checkpoint array holding a NaN or an infinity is rejected as it is
+    copied into the model or optimizer, naming the file."""
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("key, value, array", [
+        ("param/conv1.w", np.nan, "parameter conv1.w"),
+        ("buffer/conv1_bn.running_var", np.inf, "buffer conv1_bn.running_var")])
+    def test_eval_and_infer_exit_one(self, tmp_path, capsys, command, key,
+                                     value, array):
+        checkpoint = zero_checkpoint(tmp_path)
+        with_array_value(checkpoint, key, value)
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        samples, features = featurized_fixture(tmp_path)
+        args = ([wav] if command == "infer" else
+                ["--samples", samples, "--features", features,
+                 "--report-dir", tmp_path / "report"])
+        assert run([command, "--checkpoint", checkpoint, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {checkpoint}: {array}: "
+                                "values that are NaN or infinite\n")
+        assert not (tmp_path / "report").exists()
+
+    def test_train_resume_exits_one(self, tmp_path, capsys):
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path)]
+        assert run(common + ["--run-dir", tmp_path / "run"]) == 0
+        checkpoint = tmp_path / "run" / "epoch_1.phck"
+        with_array_value(checkpoint, "opt/m/out.b", -np.inf)
+        capsys.readouterr()
+        assert run(common + ["--run-dir", tmp_path / "resumed", "--epochs", 2,
+                             "--resume", checkpoint]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {checkpoint}: optimizer state m/out.b: "
+                       "values that are NaN or infinite\n")
 
 
 def _config_file(base, content):

@@ -81,6 +81,15 @@ class TestDecodeWav:
         with pytest.raises(UnsupportedFormatError, match="NaN or infinite"):
             decode_wav(data)
 
+    @pytest.mark.parametrize("channels, rate, error, message", [
+        (3, 16000, UnsupportedFormatError, "3 channels"),
+        (1, 0, CorruptHeaderError, "non-positive sample rate"),
+    ], ids=["three-channels", "zero-rate"])
+    def test_unusable_header_rejected(self, channels, rate, error, message):
+        data = pcm16_wav([0] * 6, rate=rate, channels=channels)
+        with pytest.raises(error, match=message):
+            decode_wav(data)
+
     def test_mulaw_unsupported(self):
         data = pcm16_wav([0], audio_format=7, bits=8)
         with pytest.raises(UnsupportedFormatError):
@@ -149,6 +158,11 @@ class TestResample:
     def test_same_rate_identity(self):
         clip = AudioClip(16000, np.ones(100))
         assert resample(clip, 16000) is clip
+
+    @pytest.mark.parametrize("target_rate", [0, -16000])
+    def test_non_positive_target_rate_rejected(self, target_rate):
+        with pytest.raises(ValueError, match="target_rate must be positive"):
+            resample(AudioClip(16000, np.ones(100)), target_rate)
 
     def test_dc_preserved(self):
         clip = AudioClip(48000, np.full(48000, 0.5))
@@ -357,6 +371,12 @@ class TestFeatureFiles:
         path = tmp_path / "x.phfm"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(FeatureFileError):
+            load_features(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "x.phfm"
+        path.write_bytes(struct.pack("<4sHII", b"PHFM", 2, 1, 1) + b"\0" * 4)
+        with pytest.raises(FeatureFileError, match=f"{path}: unsupported version 2"):
             load_features(path)
 
     def test_short_header(self, tmp_path):

@@ -206,6 +206,13 @@ class TestTrainRun:
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
             train_run(samples, tiny_config(epochs=1))
 
+    def test_nan_loss_aborts_with_batch_name(self, monkeypatch):
+        monkeypatch.setattr(ctc, "ctc_loss_batch", lambda logp, labels: (
+            np.full(len(labels), np.nan), np.zeros_like(logp)))
+        with pytest.raises(NumericError,
+                           match=r"non-finite loss at epoch 1, batch 1"):
+            train_run(toy_samples(12), tiny_config(epochs=1))
+
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         # dropout > 0 exercises the (seed, layer, step) mask keying
         model = dataclasses.replace(TINY_MODEL, lstm_dropout=0.3)
@@ -225,6 +232,17 @@ class TestTrainRun:
             assert np.array_equal(value, resumed.params[name]), name
         for name, value in straight.buffers.items():
             assert np.array_equal(value, resumed.buffers[name]), name
+
+    def test_resume_into_a_directory_without_metrics(self, tmp_path):
+        # The new directory's metrics.jsonl holds only the epochs it trains.
+        samples = toy_samples(12)
+        train_run(samples, tiny_config(epochs=1), run_dir=tmp_path / "a")
+        train_run(samples, tiny_config(epochs=2), run_dir=tmp_path / "b",
+                  resume_from=Checkpoint.load(tmp_path / "a" / "epoch_1.phck"))
+        train_run(samples, tiny_config(epochs=2), run_dir=tmp_path / "straight")
+        straight = (tmp_path / "straight" / "metrics.jsonl").read_text()
+        assert (tmp_path / "b" / "metrics.jsonl").read_text() == \
+            straight.splitlines(keepends=True)[1]
 
     @pytest.mark.parametrize("epochs", [0, 1, 2])
     def test_resume_at_or_past_its_epochs_writes_no_checkpoint(self, tmp_path,
