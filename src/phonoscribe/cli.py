@@ -5,14 +5,14 @@ featurize, train, evaluate, transcribe single files, list suspect samples.
 Machine-readable output goes to stdout (TSV lines or JSON), diagnostics to
 stderr. Exit codes: 0 success, 1 operational failure (a model too large
 to allocate among them), 2 usage or parse error. A JSON config file
-presets the settings; featurize and train read and check it the same way,
-and explicit flags win.
+presets train's settings, and explicit flags win; featurize takes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,9 +44,9 @@ def _read_json(path, error: type[ValueError]):
             raise error(f"{printable(path)} is not JSON: {e}") from e
 
 
-def read_config(path: str | None, norm_path: Path | None = None,
-                overrides: dict | None = None) -> training.TrainConfig:
-    """The settings of a ``--config`` file, checked whole by
+def read_config(path: str | None, norm_path: Path,
+                overrides: dict) -> training.TrainConfig:
+    """The settings of train's ``--config`` file, checked whole by
     ``TrainConfig.from_dict``: its train block (with ``overrides`` laid over
     it) and its model, norm and features blocks. Without a norm block, the
     norm comes from ``norm_path`` if that file exists, a ValueError naming
@@ -64,13 +64,13 @@ def read_config(path: str | None, norm_path: Path | None = None,
         raise training.ConfigError(f"unknown train key(s): {', '.join(nested)}")
     settings.update((block, file_config[block]) for block in CONFIG_BLOCKS[1:]
                     if block in file_config)
-    if "norm" not in settings and norm_path is not None and norm_path.exists():
+    if "norm" not in settings and norm_path.exists():
         settings["norm"] = _read_json(norm_path, ValueError)
         try:
             training.parse_settings(dsp.FeatureNorm, settings["norm"], "norm")
         except training.ConfigError as e:
             raise ValueError(f"{printable(norm_path)} is not a norm file: {e}") from e
-    settings.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
     return training.TrainConfig.from_dict(settings)
 
 
@@ -125,8 +125,9 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    read_config(args.config)  # checked as train checks it; sets nothing here
     samples = corpus.read_samples_csv(args.samples)
+    if not samples:
+        raise ValueError(f"{printable(args.samples)}: no samples")
     cache = Path(args.cache)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,6 +189,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     transcriber = training.Checkpoint.load(args.checkpoint).transcriber()
     samples = load_featurized(args.samples, args.features)
+    if not samples:
+        raise ValueError(f"{printable(args.samples)}: no samples")
     pairs = []
     for s in samples:
         ids = training.predict_ids(transcriber, s.features)
@@ -270,6 +273,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and 0 or more, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phonoscribe",
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", help="download missing audio files")
     p.add_argument("--samples", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--rate-limit", type=float, default=0.0,
+    p.add_argument("--rate-limit", type=non_negative_float, default=0.0,
                    help="minimum seconds between requests")
     p.set_defaults(func=cmd_fetch)
 
@@ -294,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--cache", required=True, help="directory with WAV files")
     p.add_argument("--out", required=True, help="feature output directory")
-    p.add_argument("--norm", choices=["compute"],
-                   help="the standardization constants are always computed; "
-                   "a preset pair goes in train --config's norm block")
-    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train a model")

@@ -32,10 +32,6 @@ class UnsupportedFormatError(ValueError):
         super().__init__(f"unsupported WAV format: {codec}")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class EmptyInputError(ValueError):
     pass
 
@@ -246,7 +242,8 @@ def hann_window(n: int) -> np.ndarray:
 
 def frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     if window > len(x):
-        raise ConfigError(f"window {window} exceeds signal length {len(x)}")
+        raise ValueError(f"a {len(x)}-sample signal is shorter than one "
+                         f"{window}-sample window")
     frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
     return np.ascontiguousarray(frames)
 
@@ -298,9 +295,8 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray
     values, so passing one changes nothing.
     """
     if clip.sample_rate != config.sample_rate:
-        raise ConfigError(
-            f"clip at {clip.sample_rate} Hz, config expects {config.sample_rate}"
-        )
+        raise ValueError(f"clip at {clip.sample_rate} Hz; MFCCs are computed "
+                         f"at {config.sample_rate} Hz")
     window = _samples(config.window_seconds, config.sample_rate)
     hop = _samples(config.hop_seconds, config.sample_rate)
     frames = frame_signal(clip.samples.astype(np.float64), window, hop)

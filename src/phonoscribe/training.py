@@ -481,12 +481,19 @@ class Transcriber:
 
 def predict_ids(transcriber: Transcriber, features: np.ndarray) -> list[int]:
     """Eval-mode decode of one unstandardized (T, C) feature matrix:
-    standardize, the network, then greedy CTC decoding."""
+    standardize, the network, then greedy CTC decoding. An overflow or an
+    invalid value (a NaN) in the network is a FloatingPointError, not a
+    transcription."""
     model = transcriber.model
+
+    def forward(f):
+        with np.errstate(over="raise", invalid="raise"):
+            return model.forward_single(f)
+
     return _run_stages(features, [
         ("standardize",
          lambda f: dsp.standardize(f, transcriber.norm).astype(model.dtype)),
-        ("model_forward", model.forward_single),
+        ("model_forward", forward),
         ("greedy_decode", lambda logits: ctc.greedy_decode(
             ctc.log_softmax(logits.astype(np.float64)))),
     ])

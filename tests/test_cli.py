@@ -178,6 +178,38 @@ class TestFetchCommand:
         assert (cache / BONJOUR_AUDIO).read_bytes() == b"RIFFdata"
         assert f"OK\t{BONJOUR_AUDIO}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate_limit", ["0", "0.25", "1e-3"])
+    def test_rate_limit_in_range_sets_the_interval(
+            self, tmp_path, capsys, monkeypatch, rate_limit):
+        intervals = []
+
+        class Recorder(corpus.Fetcher):
+            def __init__(self, min_interval):
+                intervals.append(min_interval)
+                super().__init__(min_interval=min_interval)
+
+        monkeypatch.setattr(corpus, "Fetcher", Recorder)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "a.wav").write_bytes(b"x")
+        samples = sample_csv(tmp_path, ["a.wav"])
+        assert run(["fetch", "--samples", samples, "--cache", cache,
+                    "--rate-limit", rate_limit]) == 0
+        assert intervals == [float(rate_limit)]
+        assert capsys.readouterr().out == "CACHED\ta.wav\n"
+
+    @pytest.mark.parametrize("rate_limit",
+                             ["inf", "-inf", "1e400", "nan", "-1", "-0.5"])
+    def test_rate_limit_out_of_range_exits_two(
+            self, tmp_path, capsys, rate_limit):
+        # The samples CSV does not exist, so reading it would exit 1.
+        with pytest.raises(SystemExit) as err:
+            run(["fetch", "--samples", tmp_path / "missing.csv",
+                 "--cache", tmp_path / "cache", f"--rate-limit={rate_limit}"])
+        assert err.value.code == 2
+        assert "must be finite and 0 or more" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
 
 def make_wav(path, seconds=2.0, rate=16000, freq=440.0):
     t = np.arange(round(seconds * rate)) / rate
@@ -185,8 +217,8 @@ def make_wav(path, seconds=2.0, rate=16000, freq=440.0):
     path.write_bytes(dsp.encode_wav(clip))
 
 
-# (block, field, value, message): config settings that `featurize` and
-# `train` both reject before they read a sample.
+# (block, field, value, message): config settings that `train` rejects
+# before it reads a sample.
 INVALID_SETTINGS = [
     ("modle", "lstm_units", 8, "unknown config block(s): modle"),
     ("model", "output_classes", 40, "model output_classes must be 38"),
@@ -225,7 +257,7 @@ class TestFeaturizeCommand:
         samples = sample_csv(tmp_path, ["a.wav", "b.wav"])
         out = tmp_path / "features"
         code = run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", out, "--norm", "compute"])
+                    "--out", out])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert "a.wav\t198x40" in lines
@@ -237,32 +269,22 @@ class TestFeaturizeCommand:
         assert norm["mean"] == pytest.approx(want.mean, rel=1e-5)
         assert norm["std"] == pytest.approx(want.std, rel=1e-5)
 
-    def test_norm_flag_changes_nothing(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        make_wav(cache / "a.wav")
-        samples = sample_csv(tmp_path, ["a.wav"])
-        outputs = []
-        for flags in ([], ["--norm", "compute"]):
-            out = tmp_path / f"features{len(flags)}"
-            assert run(["featurize", "--samples", samples, "--cache", cache,
-                        "--out", out, *flags]) == 0
-            files = {p.name: p.read_bytes() for p in out.iterdir()}
-            outputs.append((capsys.readouterr(), files))
-        assert outputs[0] == outputs[1]
-        assert sorted(outputs[0][1]) == ["a.wav.phfm", "norm.json"]
-
-    def test_norm_use_is_a_usage_error(self, tmp_path, capsys):
-        # a preset pair goes in train --config's norm block instead
+    @pytest.mark.parametrize("option, value", [
+        ("--norm", "compute"), ("--norm", "use"), ("--config", None)],
+        ids=["norm-compute", "norm-use", "config"])
+    def test_retired_option_exits_two(self, tmp_path, capsys, option, value):
+        # featurize takes no settings: the norm is always computed, and a
+        # preset pair goes in train --config's norm block
         cache = tmp_path / "cache"
         cache.mkdir()
         make_wav(cache / "a.wav")
         samples = sample_csv(tmp_path, ["a.wav"])
         with pytest.raises(SystemExit) as exit_info:
             run(["featurize", "--samples", samples, "--cache", cache,
-                 "--out", tmp_path / "features", "--norm", "use"])
+                 "--out", tmp_path / "features",
+                 option, value or tiny_config_file(tmp_path)])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'use'" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not (tmp_path / "features").exists()
 
     def test_non_16k_input_resampled(self, tmp_path):
@@ -274,51 +296,6 @@ class TestFeaturizeCommand:
         assert run(["featurize", "--samples", samples, "--cache", cache,
                     "--out", out]) == 0
         assert dsp.load_features(out / "a.wav.phfm").shape == (198, 40)
-
-    @pytest.mark.parametrize("block", ["features", "norm"])
-    def test_unknown_config_key_exits_two(self, tmp_path, capsys, block):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        make_wav(cache / "a.wav")
-        samples = sample_csv(tmp_path, ["a.wav"])
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({block: {"bogus": 1}}))
-        assert run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", tmp_path / "features", "--config", config]) == 2
-        assert f"unknown {block} key(s): bogus" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config_json, message", [
-        ({"features": 5}, "the features block must be a JSON object"),
-        ([1, 2], "must be a JSON object, not list"),
-        ("{bad", "is not JSON"),
-    ], ids=["block-int", "file-list", "not-json"])
-    def test_non_object_config_exits_two(self, tmp_path, capsys, config_json,
-                                         message):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        make_wav(cache / "a.wav")
-        samples = sample_csv(tmp_path, ["a.wav"])
-        config = tmp_path / "config.json"
-        config.write_text(config_json if isinstance(config_json, str)
-                          else json.dumps(config_json))
-        assert run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", tmp_path / "features", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert message in err
-
-    @pytest.mark.parametrize("block, field, value, message", INVALID_SETTINGS)
-    def test_invalid_config_exits_two_before_reading_samples(
-            self, tmp_path, capsys, block, field, value, message):
-        path = invalid_config_file(tmp_path, block, field, value)
-        # The samples CSV does not exist, so reading it would exit 1.
-        assert run(["featurize", "--samples", tmp_path / "missing.csv",
-                    "--cache", tmp_path, "--out", tmp_path / "features",
-                    "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert message in err
-        assert not (tmp_path / "features").exists()
 
     def test_unreadable_wav_exits_one(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -605,11 +582,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("config_json, message", [
         ({"model": 5}, "the model block must be a JSON object, not int"),
+        ({"features": 5}, "the features block must be a JSON object, not int"),
         ({"train": [1]}, "the train block must be a JSON object, not list"),
         ({"norm": None}, "the norm block must be a JSON object, not NoneType"),
         ([1, 2], "must be a JSON object, not list"),
         ("{bad", "is not JSON"),
-    ], ids=["block-int", "train-list", "norm-null", "file-list", "not-json"])
+    ], ids=["block-int", "features-int", "train-list", "norm-null", "file-list",
+            "not-json"])
     def test_non_object_config_exits_two(self, tmp_path, capsys, config_json,
                                          message):
         samples, features = featurized_fixture(tmp_path)
@@ -1043,7 +1022,7 @@ class TestRetiredModelKeys:
             "train": {"batch_size": 20, "lr": 1e-4, **RETIRED_TRAIN_KEYS},
             "model": {"conv_units": 128, "lstm_units": 512,
                       "lstm_dropout": 0.5, **RETIRED_MODEL_KEYS}}))
-        assert cli.read_config(str(path)) == TrainConfig()
+        assert cli.read_config(str(path), tmp_path / "norm.json", {}) == TrainConfig()
 
     def test_old_form_checkpoint_infers_the_same(self, tmp_path, capsys):
         config = TrainConfig(model=TINY_MODEL)
@@ -1172,7 +1151,7 @@ class TestRetiredFeatureKeys:
     def test_real_setting_may_be_a_json_integer(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"features": {"clip_seconds": 2, "hop_seconds": 0.01}}')
-        assert cli.read_config(str(path)) == TrainConfig()
+        assert cli.read_config(str(path), tmp_path / "norm.json", {}) == TrainConfig()
         new = zero_checkpoint(tmp_path)
         old = old_form_copy(new, tmp_path / "old.phck", ["features"],
                             clip_seconds=2)
@@ -1188,20 +1167,17 @@ class TestNestedConfigBlocks:
 
     @pytest.mark.parametrize("also_on_top", [False, True])
     @pytest.mark.parametrize("block", ["model", "norm", "features"])
-    @pytest.mark.parametrize("command", ["featurize", "train"])
-    def test_block_in_train_block_exits_two(self, tmp_path, capsys, command,
-                                            block, also_on_top):
+    def test_block_in_train_block_exits_two(self, tmp_path, capsys, block,
+                                            also_on_top):
         config = {"train": {"seed": 1, block: self.BLOCKS[block]}}
         if also_on_top:
             config[block] = self.BLOCKS[block]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         # No input exists, so reading one would exit 1.
-        missing, out = tmp_path / "missing", tmp_path / "out"
-        args = {"featurize": ["--cache", missing, "--out", out],
-                "train": ["--features", missing, "--run-dir", out]}[command]
-        assert run([command, "--samples", missing, "--config", path]
-                   + args) == 2
+        missing = tmp_path / "missing"
+        assert run(["train", "--samples", missing, "--features", missing,
+                    "--run-dir", tmp_path / "out", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err == f"error: unknown train key(s): {block}\n"
         assert not (tmp_path / "out").exists()
@@ -1215,7 +1191,7 @@ class TestReadmeConfigExample:
         example = section.split("```json\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "config.json"
         path.write_text(example, encoding="utf-8")
-        assert cli.read_config(str(path)) == TrainConfig()
+        assert cli.read_config(str(path), tmp_path / "norm.json", {}) == TrainConfig()
         # A retired key at its value would read, and hide from this test.
         assert set(json.loads(example)["train"]) <= \
             {f.name for f in dataclasses.fields(TrainConfig)}
@@ -1429,6 +1405,34 @@ class TestBadSamplesCsv:
         assert capsys.readouterr().err == (
             "error: line 3: audio 'b/../c.wav' is not a plain file name\n")
 
+    @pytest.mark.parametrize("command", ["featurize", "eval"])
+    @pytest.mark.parametrize("content", ["word,audio,ipa,speaker\n",
+                                         "word,audio,ipa,speaker\n\n"],
+                             ids=["header-only", "blank-row"])
+    def test_no_rows_named_and_nothing_written(self, tmp_path, capsys,
+                                               command, content):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(content, encoding="utf-8")
+        argv = samples_command(command, tmp_path, samples)
+        before = set(tmp_path.rglob("*"))
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {samples}: no samples\n"
+        assert set(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, code, err", [
+        ("fetch", 0, ""),
+        ("train", 1, "error: 0 samples cannot fill 1 eval batches plus one "
+                     "train batch of 2\n")])
+    def test_no_rows_elsewhere(self, tmp_path, capsys, command, code, err):
+        # fetch has nothing to do; train names the count it cannot split
+        samples = tmp_path / "samples.csv"
+        samples.write_text("word,audio,ipa,speaker\n", encoding="utf-8")
+        argv = samples_command(command, tmp_path, samples)
+        before = set(tmp_path.rglob("*"))
+        assert run(argv) == code
+        assert capsys.readouterr() == (("", err))
+        assert set(tmp_path.rglob("*")) == before
+
 
 def mutation(data, raw: bytes) -> bytes:
     """``raw`` with one to four bytes overwritten, half of them within the
@@ -1578,24 +1582,6 @@ class TestCorruptFiles:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_featurize_with_a_mutated_config(self, tmp_path, capsys, data):
-        cache, good = tmp_path / "cache", tmp_path / "good.json"
-        if not good.exists():
-            cache.mkdir()
-            make_wav(cache / "a.wav", seconds=0.5)
-            sample_csv(tmp_path, ["a.wav"])
-            tiny_config_file(tmp_path).rename(good)
-        config = tmp_path / "config.json"
-        config.write_bytes(mutation(data, good.read_bytes()))
-        capsys.readouterr()
-        code = run(["featurize", "--samples", tmp_path / "samples.csv",
-                    "--cache", cache, "--out", tmp_path / "features",
-                    "--config", config])
-        assert_clean_exit(code, capsys.readouterr().err, ok_lines=1)
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
     def test_train_with_a_mutated_config(self, tmp_path, capsys, data):
         good, run_dir = tmp_path / "good.json", tmp_path / "run"
         if not good.exists():
@@ -1676,7 +1662,7 @@ class TestNonFiniteWav:
         float32_wav(cache / "a.wav", np.nan)
         samples = sample_csv(tmp_path, ["a.wav"])
         code = run(["featurize", "--samples", samples, "--cache", cache,
-                    "--out", tmp_path / "features", "--norm", "compute"])
+                    "--out", tmp_path / "features"])
         err = capsys.readouterr().err
         assert_clean_exit(code, err)
         assert code == 1
@@ -1744,11 +1730,53 @@ class TestNonFiniteCheckpoint:
                        "values that are NaN or infinite\n")
 
 
+class TestFloatingPointFault:
+    """A checkpoint whose finite values overflow in the network, or make a
+    NaN there, stops the clip at ``model_forward`` instead of decoding it."""
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("param/conv1.w", np.finfo(np.float32).max, "overflow encountered"),
+        ("buffer/conv1_bn.running_var", -1.0, "invalid value encountered")],
+        ids=["overflow", "invalid"])
+    def test_eval_and_infer_exit_one(self, tmp_path, capsys, command, key,
+                                     value, message):
+        checkpoint = zero_checkpoint(tmp_path)
+        with_array_value(checkpoint, key, value)
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        samples, features = featurized_fixture(tmp_path)
+        args = ([wav] if command == "infer" else
+                ["--samples", samples, "--features", features,
+                 "--report-dir", tmp_path / "report"])
+        assert run([command, "--checkpoint", checkpoint, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"{wav}\t" if command == "infer" else "error: "
+        assert captured.err.startswith(f"{prefix}stage 'model_forward': {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_error_state_is_restored(self, tmp_path, capsys, command):
+        checkpoint = zero_checkpoint(tmp_path)
+        with_array_value(checkpoint, "param/conv1.w", np.finfo(np.float32).max)
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        samples, features = featurized_fixture(tmp_path)
+        args = ([wav] if command == "infer" else
+                ["--samples", samples, "--features", features,
+                 "--report-dir", tmp_path / "report"])
+        before = np.geterr()
+        assert run([command, "--checkpoint", checkpoint, *args]) == 1
+        assert np.geterr() == before
+
+
 def _config_file(base, content):
     path = base / "config.json"
     path.write_text(content)
-    return ["featurize", "--config", path, "--samples", base / "samples.csv",
-            "--cache", base, "--out", base / "features"]
+    return ["train", "--config", path, "--samples", base / "samples.csv",
+            "--features", base, "--run-dir", base / "run"]
 
 
 def _norm_file(base, content):

@@ -11,7 +11,6 @@ from oracles import naive_mfcc, oneshot_resample
 from phonoscribe.dsp import (
     RESAMPLE_BLOCK,
     AudioClip,
-    ConfigError,
     CorruptHeaderError,
     DEFAULT_NORM,
     DegenerateStdError,
@@ -270,13 +269,17 @@ class TestMfcc:
         want = naive_mfcc(clip.samples)
         assert np.abs(got - want).max() < 1e-6
 
-    def test_window_longer_than_clip(self):
-        with pytest.raises(ConfigError):
-            mfcc(AudioClip(16000, np.zeros(100)))
+    @pytest.mark.parametrize("n", [1, 100, 399])
+    def test_window_longer_than_clip(self, n):
+        with pytest.raises(ValueError, match=f"a {n}-sample signal is shorter "
+                           "than one 400-sample window"):
+            mfcc(AudioClip(16000, np.zeros(n)))
 
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            mfcc(AudioClip(8000, np.zeros(16000)))
+    @pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
+    def test_wrong_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"clip at {rate} Hz; MFCCs are "
+                           "computed at 16000 Hz"):
+            mfcc(AudioClip(rate, np.zeros(16000)))
 
     def test_parseval_identity(self):
         # sum |X_k|^2 over the full spectrum equals N * sum x^2.
