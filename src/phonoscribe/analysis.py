@@ -34,10 +34,6 @@ from .ipa import (
 N_PHONEMES = len(INVENTORY)
 
 
-class EmptyInputError(ValueError):
-    pass
-
-
 @dataclass
 class PredictionPair:
     word: str
@@ -159,7 +155,7 @@ def error_pairs(confusion: ConfusionMatrix) -> list[ErrorPair]:
 def distance_stats(pairs: Sequence[PredictionPair]) -> tuple[float, float]:
     """Population mean and std of the cached distances."""
     if not pairs:
-        raise EmptyInputError("no prediction pairs")
+        raise ValueError("no prediction pairs")
     distances = np.array([p.distance for p in pairs], dtype=np.float64)
     return float(distances.mean()), float(distances.std())
 
@@ -195,7 +191,7 @@ def length_accuracy(pairs: Sequence[PredictionPair]) -> LengthStats:
     partition is absent (None).
     """
     if not pairs:
-        raise EmptyInputError("no prediction pairs")
+        raise ValueError("no prediction pairs")
 
     def mean(values: list[int]) -> float | None:
         return float(np.mean(values)) if values else None
@@ -212,7 +208,7 @@ def length_accuracy(pairs: Sequence[PredictionPair]) -> LengthStats:
 
 def exact_match_accuracy(pairs: Sequence[PredictionPair]) -> float:
     if not pairs:
-        raise EmptyInputError("no prediction pairs")
+        raise ValueError("no prediction pairs")
     return sum(p.exact for p in pairs) / len(pairs)
 
 

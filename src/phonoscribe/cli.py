@@ -273,10 +273,16 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+MAX_RATE_LIMIT = 86400.0  # one day; time.sleep overflows near 9.2e9 s
+
+
 def non_negative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:  # NaN fails too
         raise argparse.ArgumentTypeError(f"must be finite and 0 or more, not {text}")
+    if value > MAX_RATE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and 0 or more, at most {MAX_RATE_LIMIT:g}, not {text}")
     return value
 
 

@@ -43,18 +43,12 @@ class ManifestIoError(OSError):
 class MalformedRowError(ValueError):
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
-        self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
-
-
-class PatternMismatchError(ValueError):
-    """Audio filename does not follow the recording tool's naming scheme."""
 
 
 class HttpError(Exception):
     def __init__(self, status: int, url: str = ""):
         self.status = status
-        self.url = url
         super().__init__(f"HTTP {status} for {url}" if url else f"HTTP {status}")
 
 
@@ -141,16 +135,17 @@ def is_plain_name(name: str) -> bool:
 def extract_speaker(audio_filename: str) -> str:
     """Speaker label from ``LL-<Qid> (<lang>)-<user>-<word>.<ext>`` names.
 
-    Returns the text between the first ``)-`` and the next ``-``.
+    Returns the text between the first ``)-`` and the next ``-``; a name
+    not of that form is a ValueError.
     """
     if not audio_filename.startswith("LL-"):
-        raise PatternMismatchError(audio_filename)
+        raise ValueError(audio_filename)
     head, sep, rest = audio_filename.partition(")-")
     if not sep:
-        raise PatternMismatchError(audio_filename)
+        raise ValueError(audio_filename)
     user, sep, _ = rest.partition("-")
     if not sep or not user:
-        raise PatternMismatchError(audio_filename)
+        raise ValueError(audio_filename)
     return user
 
 
@@ -197,7 +192,7 @@ def filter_samples(pages: Iterable[PageRecord]
                 continue
             try:
                 speaker = extract_speaker(audio)
-            except PatternMismatchError:
+            except ValueError:
                 speaker = "unknown"
             kept.append(SampleRecord(page.word, audio, list(ipa), speaker))
             stats.kept_count += 1

@@ -35,13 +35,7 @@ NEG_INF = -np.inf
 
 
 class InfeasibleLengthError(ValueError):
-    def __init__(self, t_len: int, min_frames: int):
-        self.t_len = t_len
-        self.min_frames = min_frames
-        super().__init__(
-            f"{t_len} frames cannot emit the label sequence "
-            f"(needs at least {min_frames})"
-        )
+    pass
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -139,7 +133,8 @@ def _alpha(logp: np.ndarray, labels: Sequence[Sequence[int]]):
             raise ValueError(f"label ids must be in [0, {blank})")
         needed = min_frames(seq)
         if t_len < needed:
-            raise InfeasibleLengthError(t_len, needed)
+            raise InfeasibleLengthError(f"{t_len} frames cannot emit the label "
+                                        f"sequence (needs at least {needed})")
 
     # Blank-expanded state rows (blank, l1, blank, ..., lL, blank), padded
     # with blanks to the longest. Beta starts at each sample's own last two

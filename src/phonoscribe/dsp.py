@@ -28,16 +28,7 @@ class CorruptHeaderError(ValueError):
 
 class UnsupportedFormatError(ValueError):
     def __init__(self, codec: str):
-        self.codec = codec
         super().__init__(f"unsupported WAV format: {codec}")
-
-
-class EmptyInputError(ValueError):
-    pass
-
-
-class DegenerateStdError(ValueError):
-    pass
 
 
 class FeatureFileError(ValueError):
@@ -321,12 +312,12 @@ def compute_norm(feature_matrices: Iterable[np.ndarray]) -> FeatureNorm:
         acc += arr.sum()
         acc_sq += np.square(arr).sum()
     if total == 0:
-        raise EmptyInputError("no feature values")
+        raise ValueError("no feature values")
     mean = acc / total
     var = acc_sq / total - mean * mean
     std = float(np.sqrt(max(var, 0.0)))
     if std <= 0.0:
-        raise DegenerateStdError("all feature values identical")
+        raise ValueError("all feature values identical")
     return FeatureNorm(mean=float(mean), std=std)
 
 

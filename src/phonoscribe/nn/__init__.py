@@ -2,7 +2,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .layers import (
     BatchNorm1d,
     Conv1d,
-    DegenerateBatchError,
     Dropout,
     Linear,
     ReLU,
@@ -18,7 +17,6 @@ __all__ = [
     "BiLSTM",
     "CheckpointError",
     "Conv1d",
-    "DegenerateBatchError",
     "Dropout",
     "INPUT_WIDTH",
     "LSTM",

@@ -29,10 +29,6 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-class DegenerateBatchError(ValueError):
-    pass
-
-
 def check_input(x: np.ndarray, channels: int) -> None:
     """A ShapeMismatchError unless ``x`` is (B, T, ``channels``)."""
     if x.ndim != 3 or x.shape[2] != channels:
@@ -141,7 +137,7 @@ class BatchNorm1d:
         train = ctx is not None
         if train:
             if x.shape[0] * x.shape[1] == 1:
-                raise DegenerateBatchError("batch x time == 1 in train mode")
+                raise ValueError("batch x time == 1 in train mode")
             mean = x.mean(axis=(0, 1))
             # np.var's own steps, so var has its bytes, without a second
             # centered copy of x.

@@ -6,8 +6,8 @@ Update per parameter w with gradient g:
     v = b2 * v + (1 - b2) * g^2
     w -= lr * wd * w + lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-Both subtracted terms use the pre-step w; b1, b2, eps and the default wd are
-the fixed BETA1, BETA2, EPS and WEIGHT_DECAY below. With wd = 0 this is Adam.
+Both subtracted terms use the pre-step w; b1, b2, eps and wd are the fixed
+BETA1, BETA2, EPS and WEIGHT_DECAY below.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-4,
-                 weight_decay=WEIGHT_DECAY):
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-4):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -49,10 +47,8 @@ class AdamW:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            if self.weight_decay:
-                update = update + self.lr * self.weight_decay * p
-            p -= update
+            p -= (self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+                  + self.lr * WEIGHT_DECAY * p)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"m/{k}": v for k, v in self.m.items()}

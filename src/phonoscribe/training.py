@@ -31,14 +31,6 @@ from .nn.optim import WEIGHT_DECAY
 from .settings import is_int, is_real, printable
 
 
-class InsufficientSamplesError(ValueError):
-    pass
-
-
-class NumericError(RuntimeError):
-    pass
-
-
 class ConfigError(ValueError):
     """A config file or block is not a JSON object, names a block or a
     field that does not exist, holds a value its settings class rejects, or
@@ -245,12 +237,16 @@ class Checkpoint:
 
     def restore(self, model: TranscriptionModel,
                 optimizer: AdamW | None = None) -> None:
-        """Copy the parameters and buffers into ``model`` and, if both
-        exist, the AdamW state into ``optimizer``. An array whose name,
-        shape or values do not fit is a CheckpointError naming the file."""
+        """Copy the parameters and buffers into ``model`` and, if
+        ``optimizer`` is given, the AdamW state into it. A checkpoint without
+        that state, or an array whose name, shape or values do not fit, is a
+        CheckpointError naming the file."""
         try:
             model.load_arrays(self.params, self.buffers)
-            if optimizer is not None and self.optimizer is not None:
+            if optimizer is not None:
+                if self.optimizer is None:
+                    raise CheckpointError("no optimizer state (opt/ arrays) "
+                                          "to resume from")
                 optimizer.load_state(self.optimizer, self.optimizer_t)
         except (CheckpointError, ShapeMismatchError) as e:
             raise CheckpointError(f"{self.source}: {e}") from e
@@ -278,7 +274,7 @@ def _split(samples: Sequence[FeaturizedSample], config: TrainConfig):
     """Seeded shuffle, then carve the eval split off the end."""
     n_eval = config.eval_batches * config.batch_size
     if len(samples) < n_eval + config.batch_size:
-        raise InsufficientSamplesError(
+        raise ValueError(
             f"{len(samples)} samples cannot fill {config.eval_batches} eval "
             f"batches plus one train batch of {config.batch_size}"
         )
@@ -355,7 +351,7 @@ def train_run(
     ``resume_from`` is only read, and must match ``config`` in seed, batch
     size and model (a ConfigError otherwise). The returned checkpoint
     holds the trained model's own arrays, not copies.
-    A non-finite loss aborts with a NumericError naming epoch and batch.
+    A non-finite loss aborts with a RuntimeError naming epoch and batch.
     """
     started = time.perf_counter()
     train_split, eval_split = _split(samples, config)
@@ -407,13 +403,13 @@ def train_run(
                 x = _stack_standardized(batch, config.norm, model.dtype)
                 logits = model.forward(x, train=True, step=step)
                 if not np.isfinite(logits).all():
-                    raise NumericError(
+                    raise RuntimeError(
                         f"non-finite logits at epoch {epoch + 1}, "
                         f"batch {index + 1}"
                     )
                 loss, dlogits = _ctc_batch(logits, [s.label for s in batch])
                 if not np.isfinite(loss):
-                    raise NumericError(
+                    raise RuntimeError(
                         f"non-finite loss at epoch {epoch + 1}, batch {index + 1}"
                     )
                 model.backward(dlogits)

@@ -8,7 +8,6 @@ import pytest
 
 from phonoscribe.analysis import (
     ConfusionMatrix,
-    EmptyInputError,
     PredictionPair,
     build_report,
     confusion_matrix,
@@ -186,7 +185,7 @@ class TestDistanceStats:
         assert std == pytest.approx(0.4714, abs=1e-4)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match=r"^no prediction pairs$"):
             distance_stats([])
 
 
@@ -256,7 +255,7 @@ class TestLengthAccuracy:
         assert stats.exact_target_mean == 2.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match=r"^no prediction pairs$"):
             length_accuracy([])
 
 

@@ -178,7 +178,7 @@ class TestFetchCommand:
         assert (cache / BONJOUR_AUDIO).read_bytes() == b"RIFFdata"
         assert f"OK\t{BONJOUR_AUDIO}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("rate_limit", ["0", "0.25", "1e-3"])
+    @pytest.mark.parametrize("rate_limit", ["0", "0.25", "1e-3", "86400"])
     def test_rate_limit_in_range_sets_the_interval(
             self, tmp_path, capsys, monkeypatch, rate_limit):
         intervals = []
@@ -199,7 +199,8 @@ class TestFetchCommand:
         assert capsys.readouterr().out == "CACHED\ta.wav\n"
 
     @pytest.mark.parametrize("rate_limit",
-                             ["inf", "-inf", "1e400", "nan", "-1", "-0.5"])
+                             ["inf", "-inf", "1e400", "nan", "-1", "-0.5",
+                              "1e10", "86400.5"])
     def test_rate_limit_out_of_range_exits_two(
             self, tmp_path, capsys, rate_limit):
         # The samples CSV does not exist, so reading it would exit 1.
@@ -452,8 +453,10 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert "metrics.jsonl: not a metrics file" in err
 
-    @pytest.mark.parametrize("edit", ["missing", "short"])
+    @pytest.mark.parametrize("edit", ["missing", "short", "none"])
     def test_bad_optimizer_state_exits_one(self, tmp_path, capsys, edit):
+        # "none" is a checkpoint saved without its opt/ arrays: resuming
+        # from it with fresh moments would not replay the run.
         samples, features = featurized_fixture(tmp_path)
         common = ["train", "--features", features, "--samples", samples,
                   "--config", tiny_config_file(tmp_path),
@@ -463,15 +466,22 @@ class TestTrainCommand:
         optimizer = dict(checkpoint.optimizer)
         if edit == "missing":
             del optimizer["m/out.b"]
-        else:
+        elif edit == "short":
             optimizer["m/out.b"] = np.zeros(1, np.float32)
+        else:
+            optimizer = None
         path = tmp_path / "bad.phck"
         dataclasses.replace(checkpoint, optimizer=optimizer).save(path)
+        written = sorted((tmp_path / "run").iterdir())
+        metrics = (tmp_path / "run" / "metrics.jsonl").read_bytes()
         capsys.readouterr()
         assert run(common + ["--epochs", 2, "--resume", path]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"error: {path}: ") and "m/out.b" in err
+        assert err.startswith(f"error: {path}: ")
+        assert ("no optimizer state" if edit == "none" else "m/out.b") in err
+        assert sorted((tmp_path / "run").iterdir()) == written
+        assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics
 
     @pytest.mark.parametrize("block, key, value, field", [
         ("train", "seed", 6, "seed"),

@@ -11,7 +11,6 @@ from phonoscribe.corpus import (
     MalformedRowError,
     ManifestIoError,
     PageRecord,
-    PatternMismatchError,
     extract_speaker,
     filter_samples,
     parse_manifest,
@@ -195,15 +194,16 @@ class TestExtractSpeaker:
         assert extract_speaker("LL-Q150 (fra)-X-a.wav") == "X"
 
     def test_non_ll_file(self):
-        with pytest.raises(PatternMismatchError):
+        with pytest.raises(ValueError, match=r"^bonjour\.wav$"):
             extract_speaker("bonjour.wav")
 
     def test_missing_user_separator(self):
-        with pytest.raises(PatternMismatchError):
+        with pytest.raises(ValueError,
+                           match=r"^LL-Q150 \(fra\)-nodashafteruser\.wav$"):
             extract_speaker("LL-Q150 (fra)-nodashafteruser.wav")
 
     def test_missing_paren_dash(self):
-        with pytest.raises(PatternMismatchError):
+        with pytest.raises(ValueError, match=r"^LL-Q150 fra-X-a\.wav$"):
             extract_speaker("LL-Q150 fra-X-a.wav")
 
 

@@ -16,7 +16,6 @@ from phonoscribe.nn import (
     BiLSTM,
     CheckpointError,
     Conv1d,
-    DegenerateBatchError,
     Dropout,
     INPUT_WIDTH,
     LSTM,
@@ -149,7 +148,8 @@ class TestBatchNorm:
 
     def test_degenerate_batch(self):
         layer = BatchNorm1d(3)
-        with pytest.raises(DegenerateBatchError):
+        with pytest.raises(ValueError,
+                           match=r"^batch x time == 1 in train mode$"):
             layer.forward(np.zeros((1, 1, 3), dtype=np.float32), TRAIN)
 
     def test_running_stats_converge_geometrically(self):
@@ -543,39 +543,43 @@ class TestRecurrentOrientation:
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_keeps_params(self):
+    def test_zero_grad_only_decays(self):
+        # A zero gradient leaves the Adam term at 0, so only the decoupled
+        # decay lr * wd * w moves the parameters.
         p = {"w": np.ones(3)}
-        opt = AdamW(p, lr=1e-4, weight_decay=0.0)
+        opt = AdamW(p, lr=1e-4)
         opt.step({"w": np.zeros(3)})
-        assert np.array_equal(p["w"], np.ones(3))
+        assert np.array_equal(p["w"], np.ones(3) - 1e-4 * 0.01 * np.ones(3))
 
     def test_first_step_closed_form(self):
         # With m_hat = g and v_hat = g^2, the first step moves by
-        # lr * g / (|g| + eps) regardless of the gradient's size.
-        p = {"w": np.array([1.0])}
-        opt = AdamW(p, lr=1e-4, weight_decay=0.0)
-        opt.step({"w": np.array([2.0])})
-        expected = 1.0 - 1e-4 * (2.0 / (2.0 + 1e-8))
-        assert p["w"][0] == pytest.approx(expected, abs=1e-12)
+        # lr * g / (|g| + eps) regardless of the gradient's size, plus the
+        # decay lr * wd * w.
+        g = np.array([-3.0, 2e-3, 5e4])
+        p = {"w": np.ones(3)}
+        opt = AdamW(p, lr=1e-4)
+        opt.step({"w": g})
+        expected = 1.0 - 1e-4 * 0.01 - 1e-4 * (g / (np.abs(g) + 1e-8))
+        assert np.allclose(p["w"], expected, rtol=0, atol=1e-12)
 
     def test_decoupled_decay_adds_term(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, lr=1e-4, weight_decay=0.01)
+        opt = AdamW(p, lr=1e-4)
         opt.step({"w": np.array([2.0])})
         expected = 1.0 - 1e-6 - 1e-4 * (2.0 / (2.0 + 1e-8))
         assert p["w"][0] == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_decay_equals_plain_adam(self):
+    def test_equals_longhand_adamw(self):
         rng = rng64(50)
         start = rng.normal(size=8)
         grads = [rng.normal(size=8) for _ in range(5)]
 
         p = {"w": start.copy()}
-        opt = AdamW(p, lr=1e-3, weight_decay=0.0)
+        opt = AdamW(p, lr=1e-3)
         for g in grads:
             opt.step({"w": g})
 
-        # reference Adam, written out longhand
+        # reference AdamW, written out longhand
         w = start.copy()
         m = np.zeros(8)
         v = np.zeros(8)
@@ -584,8 +588,11 @@ class TestAdamW:
             v = 0.999 * v + 0.001 * g * g
             m_hat = m / (1 - 0.9 ** t)
             v_hat = v / (1 - 0.999 ** t)
-            w = w - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            w = w - 1e-3 * 0.01 * w - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(p["w"], w, atol=1e-12)
+
+    def test_decay_is_fixed(self):
+        assert list(inspect.signature(AdamW).parameters) == ["params", "lr"]
 
     def test_missing_gradient_is_an_error(self):
         opt = AdamW({"v": np.ones(2), "w": np.ones(3)})
@@ -1026,3 +1033,11 @@ class TestCheckpointFile:
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+
+def test_a_numpy_runtime_warning_fails_the_suite():
+    # pyproject.toml turns a RuntimeWarning into an error, so an overflow or
+    # a NaN on a tested path fails its test instead of warning.
+    with np.errstate(over="warn"):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.full(1, 3e38, dtype=np.float32) * np.float32(10)
