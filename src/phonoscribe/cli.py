@@ -106,16 +106,16 @@ def cmd_fetch(args) -> int:
             continue
         seen.add(name)
         if (cache / name).exists():
-            print(f"CACHED\t{name}")
+            print(f"CACHED\t{printable(name)}")
             continue
         url = corpus.resolve_media_url(name)
         try:
             fetcher.fetch(url, cache, filename=name)
         except Exception as e:
-            print(f"FAIL\t{name}\t{e}")
+            print(f"FAIL\t{printable(name)}\t{e}")
             failures.append({"filename": name, "url": url, "error": str(e)})
             continue
-        print(f"OK\t{name}")
+        print(f"OK\t{printable(name)}")
     if failures:
         with open(cache / "failures.json", "w", encoding="utf-8") as f:
             json.dump(failures, f, indent=2, sort_keys=True)
@@ -141,7 +141,8 @@ def cmd_featurize(args) -> int:
                 # quoted, as a CSV field may hold a line break
                 raise RuntimeError(f"{str(wav)!r}: {e}") from e
             dsp.save_features(out_dir / f"{sample.audio_filename}.phfm", features)
-            print(f"{sample.audio_filename}\t{features.shape[0]}x{features.shape[1]}")
+            print(f"{printable(sample.audio_filename)}\t"
+                  f"{features.shape[0]}x{features.shape[1]}")
             yield features
 
     norm = dsp.compute_norm(write_features())  # sums each matrix as it is written
@@ -177,6 +178,15 @@ def cmd_train(args) -> int:
                          {flag: getattr(args, flag) for flag in TRAIN_FLAGS})
     samples = load_featurized(args.samples, args.features)
     resume = training.Checkpoint.load(args.resume) if args.resume else None
+    recorded = resume.thread_vars if resume is not None else None
+    if isinstance(recorded, dict):  # a BLAS thread count can change the bytes
+        now = training.thread_vars()
+        changed = next((name for name in training.THREAD_VARS
+                        if name in recorded and recorded[name] != now[name]), None)
+        if changed is not None:
+            _err(f"warning: {printable(args.resume)} was saved with {changed}="
+                 f"{recorded[changed]!r}, now {now[changed]!r}; the resumed run "
+                 "may not replay the uninterrupted one")
     _, metrics = training.train_run(
         samples, config, run_dir=args.run_dir, resume_from=resume,
         on_epoch=lambda entry: print(entry.to_json_line(), flush=True),

@@ -225,8 +225,6 @@ def _resampled_block(x: np.ndarray, positions: np.ndarray,
 
 def hann_window(n: int) -> np.ndarray:
     """Symmetric Hann window: 0.5 - 0.5 cos(2 pi k / (n - 1))."""
-    if n == 1:
-        return np.ones(1)
     k = np.arange(n)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (n - 1))
 
@@ -332,8 +330,6 @@ FEATURE_VERSION = 1
 def save_features(path: str | Path, features: np.ndarray) -> None:
     """Write a feature matrix: magic, u16 version, u32 T, u32 C, f32-LE data."""
     arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 2:
-        raise FeatureFileError("feature matrix must be 2-D")
     header = struct.pack("<4sHII", FEATURE_MAGIC, FEATURE_VERSION, *arr.shape)
     with open(path, "wb") as f:
         f.write(header)

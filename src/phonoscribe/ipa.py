@@ -80,9 +80,6 @@ class Phoneme:
     id: int
     symbol: str
 
-    def __str__(self) -> str:
-        return self.symbol
-
 
 INVENTORY: tuple[Phoneme, ...] = tuple(
     Phoneme(i, s) for i, s in enumerate(_SYMBOLS)

@@ -187,8 +187,6 @@ class Dropout:
     """
 
     def __init__(self, p: float, layer_id: int):
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
         self.layer_id = layer_id
         self.params, self.grads, self.buffers = {}, {}, {}

@@ -185,6 +185,10 @@ class Checkpoint:
     # The name that ``restore`` errors give: the file's, once loaded.
     source: str = field(default="checkpoint", init=False, repr=False,
                         compare=False)
+    # The meta's ``thread_vars`` as loaded (any JSON value, None if absent),
+    # which ``train --resume`` compares with ``thread_vars()``.
+    thread_vars: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def save(self, path: str | Path) -> None:
         meta = {
@@ -233,6 +237,7 @@ class Checkpoint:
             **counts,
         )
         checkpoint.source = file_name
+        checkpoint.thread_vars = meta.get("thread_vars")
         return checkpoint
 
     def restore(self, model: TranscriptionModel,

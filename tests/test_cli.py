@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import json
+import os
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from conftest import TINY_MODEL
 from phonoscribe import analysis, cli, corpus, dsp
 from phonoscribe.cli import main
 from phonoscribe.ipa import INVENTORY
-from phonoscribe.training import Checkpoint, TrainConfig
+from phonoscribe.training import THREAD_VARS, Checkpoint, TrainConfig
 from phonoscribe.nn import (INPUT_WIDTH, AdamW, ModelConfig, TranscriptionModel,
                             load_checkpoint, save_checkpoint)
 
@@ -178,6 +181,29 @@ class TestFetchCommand:
         assert (cache / BONJOUR_AUDIO).read_bytes() == b"RIFFdata"
         assert f"OK\t{BONJOUR_AUDIO}" in capsys.readouterr().out
 
+    def test_line_break_in_a_file_name_stays_one_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a quoted CSV field may hold a line break; each status stays one line
+        def transport(url):
+            if "e%0Af.wav" in url:
+                raise corpus.HttpError(404, url)
+            return b"RIFFdata"
+
+        monkeypatch.setattr(corpus, "_urllib_transport", transport)
+        monkeypatch.setattr(corpus, "FETCH_BACKOFF_SECONDS", 0)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "a\nb.wav").write_bytes(b"x")
+        samples = tmp_path / "samples.csv"
+        samples.write_text("word,audio,ipa,speaker\n" + "".join(
+            f'w,"{name}",wi,A\n' for name in ("a\nb.wav", "c\nd.wav", "e\nf.wav")))
+        assert run(["fetch", "--samples", samples, "--cache", cache]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["CACHED\ta\\nb.wav", "OK\tc\\nd.wav"]
+        assert lines[2].startswith("FAIL\te\\nf.wav\tHTTP 404 for ")
+        assert len(lines) == 3
+        assert (cache / "c\nd.wav").read_bytes() == b"RIFFdata"
+
     @pytest.mark.parametrize("rate_limit", ["0", "0.25", "1e-3", "86400"])
     def test_rate_limit_in_range_sets_the_interval(
             self, tmp_path, capsys, monkeypatch, rate_limit):
@@ -318,6 +344,31 @@ class TestFeaturizeCommand:
         assert err.count("\n") == 1
         assert repr(str(tmp_path / "a\nb.wav")) in err
 
+    def test_line_break_in_a_written_name_stays_one_line(self, tmp_path, capsys):
+        make_wav(tmp_path / "a\nb.wav")
+        samples = tmp_path / "samples.csv"
+        samples.write_text('word,audio,ipa,speaker\nw,"a\nb.wav",wi,A\n')
+        out = tmp_path / "features"
+        assert run(["featurize", "--samples", samples, "--cache", tmp_path,
+                    "--out", out]) == 0
+        assert capsys.readouterr().out == "a\\nb.wav\t198x40\n"
+        assert dsp.load_features(out / "a\nb.wav.phfm").shape == (198, 40)
+
+    def test_empty_wav_at_any_rate_is_two_seconds_of_silence(self, tmp_path,
+                                                            capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name, rate in (("a.wav", 16000), ("b.wav", 44100)):
+            (cache / name).write_bytes(dsp.encode_wav(dsp.AudioClip(rate, np.zeros(0))))
+        samples = sample_csv(tmp_path, ["a.wav", "b.wav"])
+        out = tmp_path / "features"
+        assert run(["featurize", "--samples", samples, "--cache", cache,
+                    "--out", out]) == 0
+        assert capsys.readouterr().out == "a.wav\t198x40\nb.wav\t198x40\n"
+        silence = dsp.mfcc(dsp.AudioClip(16000, np.zeros(32000))).astype("<f4")
+        for name in ("a.wav", "b.wav"):
+            assert np.array_equal(dsp.load_features(out / f"{name}.phfm"), silence)
+
 
 def nonfinite_features(value):
     """A 12-frame matrix at the model's width holding one ``value``."""
@@ -425,6 +476,56 @@ class TestTrainCommand:
                              "--resume", halves / "epoch_1.phck"]) == 0
         assert (straight / "epoch_2.phck").read_bytes() == \
             (halves / "epoch_2.phck").read_bytes()
+
+    @pytest.mark.parametrize("recorded, warning", [
+        ("same", None),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}, "OMP_NUM_THREADS='1', now '2'"),
+        ({"OPENBLAS_NUM_THREADS": "4", "BLIS_NUM_THREADS": "8"},
+         "BLIS_NUM_THREADS='8', now None"),
+        ({"OPENBLAS_NUM_THREADS": None}, "OPENBLAS_NUM_THREADS=None, now '4'"),
+        ({}, None),
+        (["OPENBLAS_NUM_THREADS"], None),
+        ("missing", None),
+    ], ids=["same", "changed", "set-then", "unset-then", "no-keys", "list",
+            "missing"])
+    def test_resume_warns_when_a_thread_variable_changed(
+            self, tmp_path, capsys, monkeypatch, recorded, warning):
+        # a key the record lacks is not compared; without a record, nothing is
+        for name in THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        samples, features = featurized_fixture(tmp_path)
+        common = ["train", "--features", features, "--samples", samples,
+                  "--config", tiny_config_file(tmp_path)]
+        assert run(common + ["--run-dir", tmp_path / "base"]) == 0
+        meta, arrays = load_checkpoint(tmp_path / "base" / "epoch_1.phck")
+        if recorded == "missing":
+            del meta["thread_vars"]
+        elif recorded != "same":
+            meta["thread_vars"] = recorded
+        edited = tmp_path / "edited.phck"
+        save_checkpoint(edited, meta, arrays)
+        outputs = []
+        for name, checkpoint in (("plain", tmp_path / "base" / "epoch_1.phck"),
+                                 ("edited", edited)):
+            shutil.copytree(tmp_path / "base", tmp_path / name)
+            capsys.readouterr()
+            assert run(common + ["--run-dir", tmp_path / name, "--epochs", 2,
+                                 "--resume", checkpoint]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1].out == outputs[0].out
+        for name in ("epoch_2.phck", "metrics.jsonl"):
+            assert (tmp_path / "edited" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+        assert outputs[0].err.startswith("trained 1 epoch(s)")
+        assert outputs[0].err.count("\n") == 1
+        *warned, trained = outputs[1].err.splitlines()
+        assert trained.startswith("trained 1 epoch(s)")
+        assert warned == ([] if warning is None else [
+            f"warning: {edited} was saved with {warning}; the resumed run may "
+            "not replay the uninterrupted one"])
 
     def test_resume_into_longer_run_keeps_each_epoch_once(self, tmp_path):
         samples, features = featurized_fixture(tmp_path)
@@ -1862,3 +1963,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["filter"])
         assert err.value.code == 2
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # `python -m phonoscribe.cli` as a child process, so sys.exit(main())
+    # runs as it does for a user
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+
+    def child(*args):
+        return subprocess.run([sys.executable, "-m", "phonoscribe.cli", *args],
+                              capture_output=True, encoding="utf-8", env=env,
+                              timeout=120)
+
+    inventory = child("inventory")
+    assert inventory.returncode == 0
+    assert len(inventory.stdout.splitlines()) == len(INVENTORY) == 37
+    assert inventory.stderr == ""
+    missing = child("suspects", "--report-dir", str(tmp_path))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error: ")

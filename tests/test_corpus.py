@@ -1,9 +1,14 @@
 import csv
+import http.server
+import socket
+import threading
+import urllib.error
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from phonoscribe import corpus
 from phonoscribe.corpus import (
     Fetcher,
     HttpError,
@@ -291,6 +296,126 @@ class TestFetchAudio:
         fetcher.fetch("https://example.test/a.wav", tmp_path, "a.wav")
         fetcher.fetch("https://example.test/b.wav", tmp_path, "b.wav")
         assert sleeps and sleeps[0] == pytest.approx(0.9)
+
+
+class MediaStore(http.server.BaseHTTPRequestHandler):
+    """Serves ``BODY`` at /ok and 404 elsewhere, recording each request's
+    path and User-Agent in the server's ``requests``."""
+
+    BODY = b"RIFF payload"
+
+    def do_GET(self):
+        self.server.requests.append((self.path, self.headers["User-Agent"]))
+        if self.path == "/ok":
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(self.BODY)))
+            self.end_headers()
+            self.wfile.write(self.BODY)
+        else:
+            self.send_error(404)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def media_store():
+    server = http.server.HTTPServer(("127.0.0.1", 0), MediaStore)
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join()
+    server.server_close()
+
+
+def full_listener():
+    """A listener on 127.0.0.1 that never accepts, with its accept queue
+    filled by connected clients, so a further connect gets no answer."""
+    listener = socket.create_server(("127.0.0.1", 0), backlog=0)
+    clients = []
+    for _ in range(8):
+        client = socket.socket()
+        client.settimeout(0.1)
+        try:
+            client.connect(listener.getsockname())
+        except TimeoutError:
+            client.close()
+            return listener, clients
+        clients.append(client)
+    raise AssertionError("the accept queue never filled")
+
+
+class TestUrllibTransport:
+    """The default transport against servers on 127.0.0.1. Retry backoff
+    is recorded, not slept; the timeout is patched to 0.1 s where it is
+    what the case tests and to 0.5 s elsewhere, which only bounds a hang."""
+
+    @pytest.fixture(autouse=True)
+    def local_only(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        monkeypatch.setattr(corpus, "FETCH_TIMEOUT_SECONDS", 0.5)
+
+    def test_200_writes_the_body(self, tmp_path, media_store):
+        sleeps = []
+        port = media_store.server_address[1]
+        path = Fetcher(sleep=sleeps.append).fetch(
+            f"http://127.0.0.1:{port}/ok", tmp_path, "x.wav")
+        assert path.read_bytes() == MediaStore.BODY
+        assert media_store.requests == [("/ok", "phonoscribe/0.1")]
+        assert sleeps == []
+
+    def test_404_on_every_attempt(self, tmp_path, media_store):
+        sleeps = []
+        port = media_store.server_address[1]
+        with pytest.raises(HttpError) as err:
+            Fetcher(sleep=sleeps.append).fetch(
+                f"http://127.0.0.1:{port}/missing", tmp_path, "x.wav")
+        assert err.value.status == 404
+        assert len(media_store.requests) == corpus.FETCH_ATTEMPTS
+        assert sleeps == [0.5, 1.0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_connect_timeout(self, tmp_path, monkeypatch):
+        # urlopen wraps a connect timeout in URLError(reason=TimeoutError)
+        monkeypatch.setattr(corpus, "FETCH_TIMEOUT_SECONDS", 0.1)
+        sleeps = []
+        listener, clients = full_listener()
+        port = listener.getsockname()[1]
+        try:
+            with pytest.raises(FetchTimeoutError) as err:
+                Fetcher(sleep=sleeps.append).fetch(
+                    f"http://127.0.0.1:{port}/x.wav", tmp_path, "x.wav")
+        finally:
+            for s in (listener, *clients):
+                s.close()
+        assert isinstance(err.value.__cause__, urllib.error.URLError)
+        assert isinstance(err.value.__cause__.reason, TimeoutError)
+        assert sleeps == [0.5, 1.0]
+
+    def test_read_timeout(self, tmp_path, monkeypatch):
+        # connected, the request sent, no response: a bare TimeoutError
+        monkeypatch.setattr(corpus, "FETCH_TIMEOUT_SECONDS", 0.1)
+        sleeps = []
+        with socket.create_server(("127.0.0.1", 0), backlog=8) as silent:
+            port = silent.getsockname()[1]
+            with pytest.raises(FetchTimeoutError) as err:
+                Fetcher(sleep=sleeps.append).fetch(
+                    f"http://127.0.0.1:{port}/x.wav", tmp_path, "x.wav")
+        assert type(err.value.__cause__) is TimeoutError
+        assert sleeps == [0.5, 1.0]
+
+    def test_refused_connection_is_not_retried(self, tmp_path):
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            port = closed.getsockname()[1]
+        sleeps = []
+        with pytest.raises(urllib.error.URLError) as err:
+            Fetcher(sleep=sleeps.append).fetch(
+                f"http://127.0.0.1:{port}/x.wav", tmp_path, "x.wav")
+        assert isinstance(err.value.reason, ConnectionRefusedError)
+        assert sleeps == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSamplesCsv:

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -392,6 +393,18 @@ class TestFeatureFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FeatureFileError):
+            load_features(path)
+
+    def test_file_cut_during_the_read(self, tmp_path, monkeypatch):
+        # the size check sees the size the file had when it was opened; a
+        # file cut after that leaves the payload read short
+        path = tmp_path / "x.phfm"
+        save_features(path, np.zeros((4, 4), dtype=np.float32))
+        uncut = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: uncut)
+        with pytest.raises(FeatureFileError,
+                           match=f"^{path}: truncated feature payload$"):
             load_features(path)
 
     @pytest.mark.parametrize("t, c, payload", [
