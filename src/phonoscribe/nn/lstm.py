@@ -36,12 +36,12 @@ two read a C-contiguous copy of wh.T, so the B=1 path copies no weight.
 The input projection for all timesteps is one matrix product per
 direction; the loop only adds h_{t-1} @ wh, halves that sum in one pass
 (exact, so it equals halving each term) and takes one tanh over all four
-gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Backward hoists out of
-the loop every factor the forward pass fixes and turns the cached gates
-into the gate gradients in place (Appleyard et al., arXiv:1604.01946);
-beside its cache it holds three (T, D, B, H) arrays: the cell states,
-which become tanh(c) and then o (1 - tanh^2 c), the hidden states, and
-a spare one that ends up keeping f.
+gates, using sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Backward takes out of
+the step recurrence every factor the forward pass fixes, building them a
+block of steps at a time as its loop reaches the block, and turns the
+cached gates into the gate gradients in place (Appleyard et al.,
+arXiv:1604.01946); beside its cache it holds two (T, D, B, H) arrays,
+the cell states and the hidden states, and one block's scratch.
 Every element sees the operations of a run of its direction alone, in
 the same order, so a BiLSTM equals a standalone ``LSTM`` and
 ``LSTM(reverse=True)`` bit for bit.
@@ -71,11 +71,12 @@ WEIGHTS_LEFT_MIN_MACS = 10**6
 # 1.8 and 2.4 ms).
 TRANSPOSE_BLOCK = 128
 
-# The backward builds its output-gate factors, and stacks the output
+# The backward builds its gate-gradient factors, and stacks the output
 # gradients its loop reads, this many values at a time (whole steps, at
-# least one). At (B, H) = (8, 64) the factors took a third of the time in
-# blocks of 16 steps as in single steps; at (20, 512) single steps ran
-# fastest, and the whole array took twice as long.
+# least one). On one thread (float32, T=198, 2-vCPU Xeon host) a whole
+# backward at (B, H) = (8, 64) took 8.8 ms in blocks of 16 or 32 steps,
+# 13.9 ms in single steps and 9.3 ms in one block; at (20, 512) blocks of
+# 1 to 12 steps tied at 487-494 ms, and one block took 517 ms.
 STEP_BLOCK = 2**14
 
 
@@ -232,24 +233,6 @@ def _rebuild_cells(i, f, g) -> np.ndarray:
     return cells
 
 
-def _output_factors(o, tanh_c) -> None:
-    """Turns o into do = [((1-o) o) tanh(c)] and tanh(c) into o (1 - tanh^2
-    c), both (T, D, B, H). Each reads the other's input, so they are built
-    a block of steps at a time, beside one block's spare memory."""
-    steps = max(1, STEP_BLOCK // tanh_c[0].size)
-    work = np.empty_like(tanh_c[:steps])
-    for s in range(0, len(tanh_c), steps):
-        o_s, t = o[s:s + steps], tanh_c[s:s + steps]
-        do = work[:len(t)]
-        np.subtract(1.0, o_s, out=do)
-        do *= o_s
-        do *= t
-        t *= t
-        np.subtract(1.0, t, out=t)
-        t *= o_s
-        o_s[...] = do
-
-
 def _run_backward(layer, directions, dys) -> np.ndarray:
     """Consumes the cache ``_run`` left on ``layer`` and each direction's
     output gradient, given time-major (T, B, H) in time order; sets every
@@ -259,34 +242,10 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
     hs, n_in = four_hs // 4, x.shape[-1]
     # Indexed (T, D, B, 4, H), like the step-major arrays.
     gates_by_step = gates.reshape(n_dir, t_len, b_sz, 4, hs).transpose(1, 0, 2, 3, 4)
-    i, f, g, o = gates_by_step.transpose(3, 0, 1, 2, 4)
-    cells = _rebuild_cells(i, f, g)
-
-    # Each gate becomes the part of its gradient that the forward pass
-    # fixes: di = dc [((1-i) i) g], df = dc [((1-f) f) c_prev],
-    # dg = dc [(1-g^2) i], do = dh [((1-o) o) tanh(c)]. Where two factors
-    # read each other's gate, one is built in spare memory first.
-    spare = np.subtract(1.0, i, out=np.empty_like(cells))
-    spare *= i
-    spare *= g
-    g *= g
-    np.subtract(1.0, g, out=g)
-    g *= i
-    i[...] = spare
-    f_kept = spare  # the loop still scales dc by f
-    f_kept[...] = f
-    np.subtract(1.0, f, out=f)
-    f *= f_kept
-    f[1:] *= cells[:-1]
-    f[0] = 0.0
-    tanh_c = np.tanh(cells, out=cells)  # c is read no more
+    cells = _rebuild_cells(*gates_by_step.transpose(3, 0, 1, 2, 4)[:3])
     # h = o tanh(c), direction-major as the wh-gradient GEMMs read it.
     hidden = np.empty((n_dir, t_len, b_sz, hs), dtype=x.dtype)
-    np.multiply(o, tanh_c, out=hidden.transpose(1, 0, 2, 3))
-    _output_factors(o, tanh_c)
-    dc_from_dh = tanh_c  # o (1 - tanh^2 c)
 
-    d_ifg = gates_by_step[:, :, :, :3]
     dh = np.empty((n_dir, b_sz, hs), dtype=x.dtype)
     weights_left = _weights_left(b_sz, hs)
     wh = _recurrent_weights(directions, transposed=not weights_left)
@@ -295,27 +254,57 @@ def _run_backward(layer, directions, dys) -> np.ndarray:
     dc = np.zeros_like(dh)
     dc_per_gate = dc[:, :, None]
     work = np.empty_like(dh)
-    # A block of steps' output gradients, stacked in processing order.
     dh_out = [dy[::lstm._time_step] for lstm, dy in zip(directions, dys)]
+    # Per block of steps: the output gradients, stacked in processing
+    # order, the f and o (1 - tanh^2 c) that dc reads, and spare memory.
     block = max(1, STEP_BLOCK // dh.size)
-    dh_block = np.empty((block, *dh.shape), dtype=x.dtype)
+    scratch = np.empty((4, block, *dh.shape), dtype=x.dtype)
     for s in range(t_len - 1, -1, -1):
         k = s % block
         if k == block - 1 or s == t_len - 1:
+            steps = slice(s - k, s + 1)
+            dh_block, f_kept, t, spare = scratch[:, :k + 1]
             for d, dy in enumerate(dh_out):
-                dh_block[:k + 1, d] = dy[s - k:s + 1]
+                dh_block[:, d] = dy[steps]
+            # Each gate of the block's steps becomes the part of its gradient
+            # that the forward pass fixes: di = dc [((1-i) i) g], df = dc
+            # [((1-f) f) c_prev], dg = dc [(1-g^2) i], do = dh [((1-o) o)
+            # tanh(c)]. Where two factors read each other's input, one is
+            # built in spare memory first.
+            i, f, g, o = gates_by_step[steps].transpose(3, 0, 1, 2, 4)
+            np.subtract(1.0, i, out=spare)
+            spare *= i
+            spare *= g
+            g *= g
+            np.subtract(1.0, g, out=g)
+            g *= i
+            i[...] = spare
+            f_kept[...] = f
+            np.subtract(1.0, f, out=f)
+            f *= f_kept
+            f[1:] *= cells[s - k:s]
+            f[0] *= cells[s - k - 1] if s > k else 0.0  # c_{-1} = 0
+            np.tanh(cells[steps], out=t)  # becomes o (1 - tanh^2 c)
+            np.multiply(o, t, out=hidden[:, steps].transpose(1, 0, 2, 3))
+            np.subtract(1.0, o, out=spare)
+            spare *= o
+            spare *= t
+            t *= t
+            np.subtract(1.0, t, out=t)
+            t *= o
+            o[...] = spare
         np.add(dh_block[k], dh_next, out=dh)
-        o[s] *= dh
-        np.multiply(dh, dc_from_dh[s], out=work)
+        o[k] *= dh
+        np.multiply(dh, t[k], out=work)
         dc += work
-        d_ifg[s] *= dc_per_gate
+        gates_by_step[s, :, :, :3] *= dc_per_gate
         for d, w in enumerate(wh):
             if weights_left:
                 np.matmul(w, gates[d, s].T, out=dh_next[d].T)
             else:
                 np.matmul(gates[d, s], w, out=dh_next[d])
-        dc *= f_kept[s]
-    del cells, tanh_c, spare, f_kept, dc_from_dh  # free before the GEMMs
+        dc *= f_kept[k]
+    del cells, scratch, dh_block, f_kept, t, spare  # free before the GEMMs
 
     # Each operand is dropped after its last read (Chen et al.,
     # arXiv:1604.06174), so the dx GEMMs run beside neither hidden nor x.
