@@ -47,9 +47,9 @@ class MalformedRowError(ValueError):
 
 
 class HttpError(Exception):
-    def __init__(self, status: int, url: str = ""):
+    def __init__(self, status: int, url: str):
         self.status = status
-        super().__init__(f"HTTP {status} for {url}" if url else f"HTTP {status}")
+        super().__init__(f"HTTP {status} for {url}")
 
 
 class FetchTimeoutError(Exception):

@@ -10,8 +10,7 @@ The blank is always the LAST class: a (T, K) input has K - 1 usable labels
 and blank id K - 1.
 
 One kernel, ``ctc_loss_batch``, runs the recursion for a whole (B, T, K)
-batch; ``ctc_loss`` is its B=1 case, and ``ctc_nll_batch`` its losses
-alone, from the alpha half. Samples are padded to S = 2 * max_len
+batch; ``ctc_loss`` is its B=1 case. Samples are padded to S = 2 * max_len
 + 1 states in one time-major (T, B, S) lattice, so a frame costs two
 in-place ``np.logaddexp`` over (B, S) for alpha and two for beta. -inf pad
 columns turn the stay/step/skip shifts into slices, and the skip rules are
@@ -68,13 +67,6 @@ def ctc_loss(logp: np.ndarray, labels: Sequence[int]) -> tuple[float, np.ndarray
     return float(losses[0]), grad[0]
 
 
-def ctc_nll_batch(logp: np.ndarray, labels: Sequence[Sequence[int]]
-                  ) -> np.ndarray:
-    """``ctc_loss_batch``'s per-sample losses, bit for bit, from the alpha
-    recursion alone: no beta pass and no gradient."""
-    return -_alpha(np.asarray(logp, dtype=np.float64), labels)[-1]
-
-
 def ctc_loss_batch(logp: np.ndarray, labels: Sequence[Sequence[int]]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample CTC losses (B,) of a (B, T, K) batch and their gradients.
@@ -85,42 +77,6 @@ def ctc_loss_batch(logp: np.ndarray, labels: Sequence[Sequence[int]]
     T is too short for any sample's labels.
     """
     logp = np.asarray(logp, dtype=np.float64)
-    n_batch, t_len, n_classes = logp.shape
-    states, ends, skip_pen, emit, alpha, log_p = _alpha(logp, labels)
-    n_states = states.shape[1]
-    rows = np.arange(n_batch)
-    feed_pen = np.full((n_batch, n_states), NEG_INF)
-    feed_pen[:, :-2] = skip_pen[:, 2:]
-
-    # beta's emitting successor ``nxt`` carries two trailing -inf pad
-    # columns, so the step and skip shifts are slices.
-    beta = np.full((t_len, n_batch, n_states), NEG_INF)
-    beta[-1, rows, ends - 1] = 0.0
-    beta[-1, rows, ends - 2] = 0.0
-    nxt = np.empty((n_batch, n_states + 2))
-    nxt[:, -2:] = NEG_INF
-    skip = np.empty((n_batch, n_states))
-    for t in range(t_len - 2, -1, -1):
-        out = beta[t]
-        np.add(beta[t + 1], emit[t + 1], out=nxt[:, :-2])
-        np.logaddexp(nxt[:, :-2], nxt[:, 1:-1], out=out)
-        np.add(nxt[:, 2:], feed_pen, out=skip)
-        np.logaddexp(out, skip, out=out)
-
-    # State posteriors; each valid row of exp(gamma - log_p) sums to 1.
-    posterior = np.exp(alpha + beta - log_p[:, None])
-    grad = np.zeros((t_len, n_batch, n_classes))
-    np.add.at(grad, (np.arange(t_len)[:, None, None], rows[:, None], states),
-              posterior)
-    return -log_p, -grad.transpose(1, 0, 2)
-
-
-def _alpha(logp: np.ndarray, labels: Sequence[Sequence[int]]):
-    """Checks a float64 (B, T, K) batch against its labels and runs the
-    alpha recursion. Returns the lattice, the blank-expanded states (B, S),
-    each sample's state count (B,), the 0/-inf penalties of a skip into
-    each state (B, S) and the emissions (T, B, S), then alpha (T, B, S)
-    and each sample's log-likelihood (B,)."""
     n_batch, t_len, n_classes = logp.shape
     blank = n_classes - 1
     labels = [list(seq) for seq in labels]
@@ -152,6 +108,8 @@ def _alpha(logp: np.ndarray, labels: Sequence[Sequence[int]]):
     # s+2 under the same rule.
     skip_pen = np.full((n_batch, n_states), NEG_INF)
     skip_pen[:, 3::2][states[:, 3::2] != states[:, 1:-2:2]] = 0.0
+    feed_pen = np.full((n_batch, n_states), NEG_INF)
+    feed_pen[:, :-2] = skip_pen[:, 2:]
 
     emit = logp.transpose(1, 0, 2)[:, rows[:, None], states]  # (T, B, S)
 
@@ -168,7 +126,27 @@ def _alpha(logp: np.ndarray, labels: Sequence[Sequence[int]]):
         out += emit[t]
     alpha = alpha[:, :, 2:]
     log_p = np.logaddexp(alpha[-1, rows, ends - 1], alpha[-1, rows, ends - 2])
-    return states, ends, skip_pen, emit, alpha, log_p
+
+    # beta's emitting successor ``nxt`` carries two trailing -inf pad
+    # columns, so the step and skip shifts are slices.
+    beta = np.full((t_len, n_batch, n_states), NEG_INF)
+    beta[-1, rows, ends - 1] = 0.0
+    beta[-1, rows, ends - 2] = 0.0
+    nxt = np.empty((n_batch, n_states + 2))
+    nxt[:, -2:] = NEG_INF
+    for t in range(t_len - 2, -1, -1):
+        out = beta[t]
+        np.add(beta[t + 1], emit[t + 1], out=nxt[:, :-2])
+        np.logaddexp(nxt[:, :-2], nxt[:, 1:-1], out=out)
+        np.add(nxt[:, 2:], feed_pen, out=skip)
+        np.logaddexp(out, skip, out=out)
+
+    # State posteriors; each valid row of exp(gamma - log_p) sums to 1.
+    posterior = np.exp(alpha + beta - log_p[:, None])
+    grad = np.zeros((t_len, n_batch, n_classes))
+    np.add.at(grad, (np.arange(t_len)[:, None, None], rows[:, None], states),
+              posterior)
+    return -log_p, -grad.transpose(1, 0, 2)
 
 
 def greedy_decode(logp: np.ndarray) -> list[int]:

@@ -253,7 +253,7 @@ class TestFetchAudio:
         assert target.read_bytes() == b"cached"
 
     def test_http_404(self, tmp_path):
-        transport = StubTransport([HttpError(404)] * 3)
+        transport = StubTransport([HttpError(404, "https://example.test/x.wav")] * 3)
         sleeps = []
         with pytest.raises(HttpError) as err:
             Fetcher(transport=transport, sleep=sleeps.append).fetch(
@@ -264,7 +264,8 @@ class TestFetchAudio:
 
     def test_two_failures_then_success(self, tmp_path):
         transport = StubTransport(
-            [FetchTimeoutError(), HttpError(503), b"payload"]
+            [FetchTimeoutError(), HttpError(503, "https://example.test/x.wav"),
+             b"payload"]
         )
         sleeps = []
         fetcher = Fetcher(transport=transport, sleep=sleeps.append)

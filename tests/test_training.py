@@ -21,6 +21,7 @@ from phonoscribe.training import (
     TrainConfig,
     _chunk,
     _ctc_batch,
+    _eval_pass,
     _rng,
     _split,
     infer,
@@ -312,15 +313,47 @@ class TestTrainRun:
         _, metrics = train_run(samples, config)
         assert len(metrics.epochs) == 1
 
-    def test_eval_pass_takes_no_ctc_gradients(self, monkeypatch):
-        # two epochs of two train batches and one eval batch: only the
-        # train batches take CTC gradients
+    def test_eval_pass_scores_through_the_train_kernel(self, monkeypatch):
+        # two epochs of two train batches and one eval batch: every batch,
+        # train or eval, is scored by ctc_loss_batch
         calls = []
         kernel = ctc.ctc_loss_batch
         monkeypatch.setattr(ctc, "ctc_loss_batch",
                             lambda *args: calls.append(1) or kernel(*args))
         train_run(toy_samples(12), tiny_config())
-        assert len(calls) == 2 * 2
+        assert len(calls) == 2 * 2 + 2 * 1
+
+
+class TestEvalPass:
+    def test_loss_and_accuracy_match_per_row_scoring(self):
+        # Two batches of different lengths. Even rows are labelled with the
+        # model's own greedy decode, so a non-empty one decodes exactly; odd
+        # rows get a label one phoneme longer, so they cannot.
+        model = TranscriptionModel(TINY_MODEL, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        batches, want_losses, want_correct = [], [], 0
+        for t_len in (12, 16):
+            features = rng.normal(size=(4, t_len, INPUT_WIDTH)).astype(np.float32)
+            x = np.stack([dsp.standardize(f, IDENTITY_NORM).astype(model.dtype)
+                          for f in features])
+            logp = ctc.log_softmax(model.forward(x).astype(np.float64))
+            batch = []
+            for b, row in enumerate(logp):
+                decoded = ctc.greedy_decode(row)
+                label = decoded or [0]
+                if b % 2:
+                    label = label + [0 if label[-1] else 1]
+                want_correct += decoded == label
+                want_losses.append(ctc.ctc_loss(row, label)[0])
+                batch.append(FeaturizedSample(word=f"w{t_len}_{b}",
+                                              audio_filename=f"w{t_len}_{b}.wav",
+                                              label=label, features=features[b]))
+            assert len({len(s.label) for s in batch}) > 1
+            batches.append(batch)
+        assert 0 < want_correct < 8
+        loss, accuracy = _eval_pass(model, batches, IDENTITY_NORM)
+        assert loss == pytest.approx(np.mean(want_losses), abs=1e-12, rel=0)
+        assert accuracy == want_correct / 8
 
 
 class TestTrainStepMemory:
