@@ -210,49 +210,23 @@ def exact_match_accuracy(pairs: Sequence[PredictionPair]) -> float:
     return sum(p.exact for p in pairs) / len(pairs)
 
 
-@dataclass
-class Report:
-    exact_match_accuracy: float
-    phoneme_accuracy: list[PhonemeAccuracyRow]
-    error_pairs: list[ErrorPair]
-    distance_mean: float
-    distance_std: float
-    length: LengthStats
-    suspects: list[SuspectRow]
-    confusion: ConfusionMatrix
-    sample_count: int
-
-
-def build_report(pairs: Sequence[PredictionPair]) -> Report:
+def build_report(pairs: Sequence[PredictionPair]) -> dict:
+    """The object that ``report.json`` holds: every table, as JSON values."""
     confusion = confusion_matrix(pairs)
     distance_mean, distance_std = distance_stats(pairs)
-    return Report(
-        exact_match_accuracy=exact_match_accuracy(pairs),
-        phoneme_accuracy=phoneme_accuracy(confusion),
-        error_pairs=error_pairs(confusion),
-        distance_mean=distance_mean,
-        distance_std=distance_std,
-        length=length_accuracy(pairs),
-        suspects=suspects(pairs),
-        confusion=confusion,
-        sample_count=len(pairs),
-    )
-
-
-def report_to_dict(report: Report) -> dict:
     return {
-        "sample_count": report.sample_count,
-        "exact_match_accuracy": report.exact_match_accuracy,
-        "phoneme_accuracy": [asdict(r) for r in report.phoneme_accuracy],
-        "error_pairs": [asdict(r) for r in report.error_pairs],
-        "distance": {"mean": report.distance_mean, "std": report.distance_std},
-        "length": asdict(report.length),
-        "suspects": [asdict(r) for r in report.suspects],
+        "sample_count": len(pairs),
+        "exact_match_accuracy": exact_match_accuracy(pairs),
+        "phoneme_accuracy": [asdict(r) for r in phoneme_accuracy(confusion)],
+        "error_pairs": [asdict(r) for r in error_pairs(confusion)],
+        "distance": {"mean": distance_mean, "std": distance_std},
+        "length": asdict(length_accuracy(pairs)),
+        "suspects": [asdict(r) for r in suspects(pairs)],
         "confusion": {
             "symbols": [p.symbol for p in INVENTORY],
-            "counts": report.confusion.counts.tolist(),
-            "proportions": report.confusion.proportions.tolist(),
-            "inserted": report.confusion.inserted.tolist(),
+            "counts": confusion.counts.tolist(),
+            "proportions": confusion.proportions.tolist(),
+            "inserted": confusion.inserted.tolist(),
         },
     }
 
@@ -264,53 +238,53 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def report_to_markdown(report: Report) -> str:
+def report_to_markdown(report: dict) -> str:
     lines = ["# Evaluation report", ""]
-    lines.append(f"Samples: {report.sample_count}")
-    lines.append(f"Exact-match accuracy: {report.exact_match_accuracy:.4f}")
-    lines.append(f"Edit distance: mean {report.distance_mean:.2f}, "
-                 f"std {report.distance_std:.2f}")
+    lines.append(f"Samples: {report['sample_count']}")
+    lines.append(f"Exact-match accuracy: {report['exact_match_accuracy']:.4f}")
+    lines.append(f"Edit distance: mean {report['distance']['mean']:.2f}, "
+                 f"std {report['distance']['std']:.2f}")
     lines.append("")
 
     lines.append("## Accuracy per phoneme")
     lines.extend(_markdown_table(
         ["Target phoneme", "Correct", "Incorrect", "Average accuracy"],
-        [[r.phoneme, str(r.correct), str(r.incorrect), f"{r.accuracy:.2f}"]
-         for r in report.phoneme_accuracy],
+        [[r["phoneme"], str(r["correct"]), str(r["incorrect"]),
+          f"{r['accuracy']:.2f}"] for r in report["phoneme_accuracy"]],
     ))
     lines.append("")
 
     lines.append("## Most encountered error pairs")
     lines.extend(_markdown_table(
         ["Target phoneme", "Predicted phoneme", "Percentage of all errors"],
-        [[r.target, r.predicted, f"{100 * r.share:.2f}%"]
-         for r in report.error_pairs[:10]],
+        [[r["target"], r["predicted"], f"{100 * r['share']:.2f}%"]
+         for r in report["error_pairs"][:10]],
     ))
     lines.append("")
 
     lines.append("## Highest-distance samples")
     lines.extend(_markdown_table(
         ["Word", "Target", "Prediction", "Distance"],
-        [[r.word, f"/{r.target_ipa}/", f"/{r.predicted_ipa}/", str(r.distance)]
-         for r in report.suspects[:10]],
+        [[r["word"], f"/{r['target_ipa']}/", f"/{r['predicted_ipa']}/",
+          str(r["distance"])] for r in report["suspects"][:10]],
     ))
     lines.append("")
     return "\n".join(lines)
 
 
-def write_report_bundle(report_dir: str | Path, report: Report) -> None:
-    """Write report.json, report.md and confusion.csv into ``report_dir``."""
+def write_report_bundle(report_dir: str | Path, report: dict) -> None:
+    """Write ``build_report``'s object to report.json as it is, and
+    report.md and confusion.csv from it, into ``report_dir``."""
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     with open(report_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report_to_dict(report), f, ensure_ascii=False, indent=2,
-                  sort_keys=True)
+        json.dump(report, f, ensure_ascii=False, indent=2, sort_keys=True)
     (report_dir / "report.md").write_text(report_to_markdown(report),
                                           encoding="utf-8")
+    confusion = report["confusion"]
     with open(report_dir / "confusion.csv", "w", encoding="utf-8",
               newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["target"] + [p.symbol for p in INVENTORY] + ["deleted"])
-        for i, phoneme in enumerate(INVENTORY):
-            row = [f"{v:.6f}" for v in report.confusion.proportions[i]]
-            writer.writerow([phoneme.symbol] + row)
+        writer.writerow(["target"] + confusion["symbols"] + ["deleted"])
+        for symbol, row in zip(confusion["symbols"], confusion["proportions"]):
+            writer.writerow([symbol] + [f"{v:.6f}" for v in row])

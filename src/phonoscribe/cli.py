@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, corpus, dsp, training
@@ -82,11 +83,7 @@ def cmd_filter(args) -> int:
         return EXIT_USAGE
     samples, stats = corpus.filter_samples(pages)
     corpus.write_samples_csv(args.out, samples)
-    stats_dict = {
-        "input_count": stats.input_count,
-        "kept_count": stats.kept_count,
-        "rejected_by_rule": stats.rejected_by_rule,
-    }
+    stats_dict = asdict(stats)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as f:
             json.dump(stats_dict, f, indent=2, sort_keys=True)
@@ -203,7 +200,11 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{printable(args.samples)}: no samples")
     pairs = []
     for s in samples:
-        ids = training.predict_ids(transcriber, s.features)
+        try:
+            ids = training.predict_ids(transcriber, s.features)
+        except training.StageError as e:  # named as featurize names its WAV
+            path = Path(args.features) / f"{s.audio_filename}.phfm"
+            raise RuntimeError(f"{str(path)!r}: {e}") from e
         pairs.append(analysis.PredictionPair.build(
             word=s.word,
             audio_filename=s.audio_filename,
@@ -213,10 +214,10 @@ def cmd_eval(args) -> int:
     report = analysis.build_report(pairs)
     analysis.write_report_bundle(args.report_dir, report)
     print(json.dumps({
-        "samples": report.sample_count,
-        "exact_match_accuracy": report.exact_match_accuracy,
-        "distance_mean": report.distance_mean,
-        "distance_std": report.distance_std,
+        "samples": report["sample_count"],
+        "exact_match_accuracy": report["exact_match_accuracy"],
+        "distance_mean": report["distance"]["mean"],
+        "distance_std": report["distance"]["std"],
     }, sort_keys=True))
     return EXIT_OK
 

@@ -281,8 +281,11 @@ class Fetcher:
                 last_error = e
                 continue
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            try:  # path is replaced only by a whole file
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
+            finally:  # a no-op once replaced; else removes a partial file
+                tmp.unlink(missing_ok=True)
             return path
         assert last_error is not None
         raise last_error

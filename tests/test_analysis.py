@@ -270,10 +270,10 @@ class TestReportBundle:
     def test_report_keeps_every_suspect_and_markdown_shows_ten(self, tmp_path):
         pairs = [pair("ab", "ku", word=f"w{i:02d}") for i in range(25)]
         report = build_report(pairs + [pair("wi", "wi", word="exact")])
-        assert len(report.suspects) == 26
-        assert [r.word for r in report.suspects[:25]] == [
+        assert len(report["suspects"]) == 26
+        assert [r["word"] for r in report["suspects"][:25]] == [
             f"w{i:02d}" for i in range(25)]
-        assert report.suspects[-1].distance == 0
+        assert report["suspects"][-1]["distance"] == 0
         write_report_bundle(tmp_path, report)
         data = json.loads((tmp_path / "report.json").read_text("utf-8"))
         assert len(data["suspects"]) == 26

@@ -807,6 +807,23 @@ class TestEvalCommand:
         assert (report_dir / "report.md").exists()
         assert (report_dir / "confusion.csv").exists()
 
+    def test_summary_agrees_with_report_json(self, tmp_path, capsys):
+        # zero weights decode every clip to "i": distances 0, 1 and 3
+        samples, features = featurized_fixture(tmp_path, words=("i", "wi", "kus"))
+        report_dir = tmp_path / "report"
+        assert run(["eval", "--checkpoint", zero_checkpoint(tmp_path),
+                    "--samples", samples, "--features", features,
+                    "--report-dir", report_dir]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        report = json.loads((report_dir / "report.json").read_text("utf-8"))
+        assert report["distance"]["std"] > 0
+        assert summary == {
+            "samples": report["sample_count"],
+            "exact_match_accuracy": report["exact_match_accuracy"],
+            "distance_mean": report["distance"]["mean"],
+            "distance_std": report["distance"]["std"],
+        }
+
     def test_confusion_rows_stochastic(self, tmp_path):
         samples, features = featurized_fixture(tmp_path, words=("wi", "ku"))
         checkpoint = zero_checkpoint(tmp_path)
@@ -1863,10 +1880,30 @@ class TestFloatingPointFault:
         assert run([command, "--checkpoint", checkpoint, *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        prefix = f"{wav}\t" if command == "infer" else "error: "
+        prefix = (f"{wav}\t" if command == "infer" else
+                  f"error: {str(features / 'w0.wav.phfm')!r}: ")
         assert captured.err.startswith(f"{prefix}stage 'model_forward': {message}")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "report").exists()
+
+    def test_eval_names_the_clip_that_fails(self, tmp_path, capsys):
+        # 1e30 times w0's coefficients is finite in float32; times 1e10 not
+        checkpoint = zero_checkpoint(tmp_path)
+        with_array_value(checkpoint, "param/conv1.w", 1e30)
+        samples, features = featurized_fixture(tmp_path)
+        path = features / "w1.wav.phfm"
+        matrix = dsp.load_features(path).copy()
+        matrix[0, 0] = 1e10
+        dsp.save_features(path, matrix)
+        report_dir = tmp_path / "report"
+        assert run(["eval", "--checkpoint", checkpoint, "--samples", samples,
+                    "--features", features, "--report-dir", report_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {str(path)!r}: stage 'model_forward': overflow encountered")
+        assert captured.err.count("\n") == 1
+        assert not report_dir.exists()
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
     def test_error_state_is_restored(self, tmp_path, capsys, command):

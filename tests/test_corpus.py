@@ -3,6 +3,7 @@ import http.server
 import socket
 import threading
 import urllib.error
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -287,6 +288,20 @@ class TestFetchAudio:
         second = Fetcher(transport=StubTransport([])).fetch(
             "https://example.test/x.wav", tmp_path, "x.wav")
         assert first == second
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        write_bytes = Path.write_bytes
+
+        def write_three_then_fail(self, data):
+            write_bytes(self, data[:3])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_three_then_fail)
+        with pytest.raises(OSError, match="No space left on device"):
+            Fetcher(transport=StubTransport([b"payload"])).fetch(
+                "https://example.test/x.wav", cache, "LL-x.wav")
+        assert list(cache.iterdir()) == []
 
     def test_rate_limit_sleeps_between_requests(self, tmp_path):
         transport = StubTransport([b"a", b"b"])
